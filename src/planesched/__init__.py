@@ -8,7 +8,7 @@ exact statevector oracles at small N.
 
 from .circuits import Schedule, emit, emit_schedule, schedule_json, write_schedule
 from .cover import build_cover, check_no_three_collinear, check_unique_tangent, place_s_points
-from .gf import FieldElem, Prime, smallest_prime_at_least
+from .gf import Prime, smallest_prime_at_least
 from .graphcheck import build_graph, lower_bound, verify_cover
 from .plane import Plane, build_plane
 from .roundrobin import build_rounds
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExpectationReport",
-    "FieldElem",
     "Hamiltonian",
     "HoppingOp",
     "MeasurementClique",

@@ -2,8 +2,9 @@
 
 Qubit layout is the up-then-down convention: mode p of spin s lives on qubit
 p + s*N, for 2N qubits total.  A circuit is a flat gate list executed left to
-right; a gate's ``qubits`` are listed explicitly and its matrix is indexed
-with the first listed qubit as the most significant bit.
+right; a gate's ``qubits`` are contiguous and ascending, listed explicitly,
+and its matrix is indexed with the first listed qubit as the most
+significant bit.
 
 Each circuit has two stages.  A nearest-neighbor fermionic-swap network
 first compacts every hopping operator onto adjacent modes (2m, 2m+1) of its
@@ -17,10 +18,12 @@ gate (|01> <-> |10>, |11> -> -|11>).  Under parity it touches one extra
 qubit below the pair because occupations are stored as cumulative parities;
 at the very first qubit the gate reduces to a 2-qubit form.
 
-Decode tables are computed numerically: the operator that the swap network
-leaves on the sorted slots is conjugated, on its own support, by the layer
-gates that touch it, and the resulting diagonal is read off.  Hopping
-operators decode to {-1, 0, +1}, number operators to {0, 1}.
+Every gate is Clifford, so decode tables are exact: the Pauli form of the
+operator that the swap network leaves on the sorted slots is conjugated
+through the rotation layer (``pauli.conjugate``) and must come out diagonal
+on the operator's own support.  Hopping operators decode to {-1, 0, +1},
+number operators to {0, 1}.  ``conjugation_problems`` checks the same thing
+for each operator's full form through its whole circuit.
 """
 
 from __future__ import annotations
@@ -31,14 +34,12 @@ from functools import reduce
 
 import numpy as np
 
+from . import pauli
 from .swapnet import SwapNetwork, odd_even_sort, position_vector
 from .universe import SPIN_NAMES, UP, DOWN, HoppingOp, MeasurementClique, Universe
 
-DIAG_TOL = 1e-12
-
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CNOT = np.array(
@@ -65,7 +66,9 @@ FSWAP_EDGE_MATRIX = (
     _kron(_X, _I) - _kron(_X, _Z) + _kron(_Z, _I) + _kron(_Z, _Z)
 ) / 2
 
-STANDARD_MATRICES = {"CNOT": _CNOT, "H": _H}
+# a gate's name fixes its matrix
+GATE_MATRICES = {"FSWAP2": FSWAP2_MATRIX, "FSWAP3": FSWAP3_MATRIX,
+                 "FSWAP_EDGE": FSWAP_EDGE_MATRIX, "CNOT": _CNOT, "H": _H}
 
 
 class InvalidSwapError(ValueError):
@@ -78,18 +81,21 @@ class DiagonalizationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Gate:
+    """A named gate; the name fixes the matrix (``GATE_MATRICES``)."""
+
     name: str
     qubits: tuple[int, ...]
-    matrix: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"repeated qubit in gate: {self}")
+        fixed = GATE_MATRICES.get(self.name)
+        if fixed is None:
+            raise ValueError(f"unknown gate: {self.name!r}")
+        first, k = self.qubits[0], fixed.shape[0].bit_length() - 1
+        if self.qubits != tuple(range(first, first + k)):
+            raise ValueError(f"{self.name} needs {k} contiguous ascending qubits: {self}")
 
     def resolved_matrix(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
-        return STANDARD_MATRICES[self.name]
+        return GATE_MATRICES[self.name]
 
 
 @dataclass(frozen=True)
@@ -127,11 +133,11 @@ def map_fswap(l: int, spin: int, mapping: str, n: int) -> Gate:
         raise InvalidSwapError(f"swap ({l}, {l + 1}) leaves the block of {n} modes")
     g = qubit_index(l, spin, n)
     if mapping == "jw":
-        return Gate("FSWAP2", (g, g + 1), FSWAP2_MATRIX)
+        return Gate("FSWAP2", (g, g + 1))
     if mapping == "parity":
         if g == 0:
-            return Gate("FSWAP_EDGE", (0, 1), FSWAP_EDGE_MATRIX)
-        return Gate("FSWAP3", (g - 1, g, g + 1), FSWAP3_MATRIX)
+            return Gate("FSWAP_EDGE", (0, 1))
+        return Gate("FSWAP3", (g - 1, g, g + 1))
     raise ValueError(f"unknown mapping: {mapping!r}")
 
 
@@ -156,88 +162,18 @@ def diag_layer(m_up: int, m_down: int, mapping: str, n: int) -> list[Gate]:
     return gates
 
 
-def _local_sorted_operator(
-    slot: int, spin: int, is_number: bool, mapping: str, n: int
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Support qubits and local matrix of an operator sitting on sorted slots.
-
-    ``slot`` is the block-local mode: a hopping pair occupies (slot, slot+1),
-    a number operator just ``slot``.
-    """
-    g = qubit_index(slot, spin, n)
-    if mapping == "jw":
-        if is_number:
-            return (g,), (_I - _Z) / 2
-        return (g, g + 1), (_kron(_X, _X) + _kron(_Y, _Y)) / 2
-    if is_number:
-        if g == 0:
-            return (0,), (_I - _Z) / 2
-        return (g - 1, g), (_kron(_I, _I) - _kron(_Z, _Z)) / 2
-    if g == 0:
-        return (0, 1), (_kron(_X, _I) - _kron(_X, _Z)) / 2
-    return (g - 1, g, g + 1), (_kron(_I, _X, _I) - _kron(_Z, _X, _Z)) / 2
-
-def _conjugate_local(
-    support: tuple[int, ...], op: np.ndarray, gates: list[Gate]
-) -> np.ndarray:
-    """Conjugate a local operator by the circuit gates that touch its support."""
-    out = op
-    for gate in gates:
-        overlap = set(gate.qubits) & set(support)
-        if not overlap:
-            continue
-        if not overlap == set(gate.qubits):
-            raise DiagonalizationError(
-                f"gate {gate.name} on {gate.qubits} straddles support {support}"
-            )
-        mat = gate.resolved_matrix()
-        full = _embed_in_support(mat, gate.qubits, support)
-        out = full @ out @ full.conj().T
-    return out
-
-
-def _embed_in_support(
-    mat: np.ndarray, gate_qubits: tuple[int, ...], support: tuple[int, ...]
-) -> np.ndarray:
-    """Lift a gate matrix onto the full support space (listed msb-first)."""
-    m = len(gate_qubits)
-    k = len(support)
-    positions = [support.index(q) for q in gate_qubits]
-    full = np.zeros((1 << k, 1 << k), dtype=complex)
-    for row in range(1 << k):
-        row_bits = [(row >> (k - 1 - i)) & 1 for i in range(k)]
-        r_local = 0
-        for b, pos in enumerate(positions):
-            r_local = (r_local << 1) | row_bits[pos]
-        for c_local in range(1 << m):
-            amp = mat[r_local, c_local]
-            if amp == 0:
-                continue
-            col_bits = row_bits[:]
-            for b, pos in enumerate(positions):
-                col_bits[pos] = (c_local >> (m - 1 - b)) & 1
-            col = 0
-            for bit in col_bits:
-                col = (col << 1) | bit
-            full[row, col] += amp
-    return full
-
-
 def _decode_from_diagonal(
-    support: tuple[int, ...], conjugated: np.ndarray, is_number: bool, what: str
+    support: tuple[int, ...], paulis: pauli.PauliForm, is_number: bool, what: str
 ) -> DecodeTable:
-    off = conjugated - np.diag(np.diag(conjugated))
-    if np.max(np.abs(off)) > DIAG_TOL:
+    """Decode table of a conjugated operator that must be diagonal on ``support``."""
+    if not pauli.is_diagonal(paulis):
         raise DiagonalizationError(f"{what}: conjugated operator is not diagonal")
-    diag = np.diag(conjugated)
-    if np.max(np.abs(diag.imag)) > DIAG_TOL:
-        raise DiagonalizationError(f"{what}: complex eigenvalues")
-    values = np.rint(diag.real).astype(int)
-    if np.max(np.abs(diag.real - values)) > DIAG_TOL:
-        raise DiagonalizationError(f"{what}: non-integer eigenvalues")
+    if not set(pauli.support(paulis)) <= set(support):
+        raise DiagonalizationError(f"{what}: conjugated operator acts outside {support}")
+    values = pauli.diagonal_values(paulis, support)
     allowed = {0, 1} if is_number else {-1, 0, 1}
-    if not set(values.tolist()) <= allowed:
-        raise DiagonalizationError(f"{what}: eigenvalues {set(values.tolist())}")
+    if not set(values) <= allowed:
+        raise DiagonalizationError(f"{what}: eigenvalues {sorted(set(values))}")
     return DecodeTable(support, tuple(int(v) for v in values))
 
 
@@ -246,13 +182,10 @@ def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
     if mapping not in ("jw", "parity"):
         raise ValueError(f"unknown mapping: {mapping!r}")
     nets: dict[int, SwapNetwork] = {}
-    hops: dict[int, list[HoppingOp]] = {}
-    nums: dict[int, list[HoppingOp]] = {}
+    targets: dict[int, list[int]] = {}  # spin -> the slot each mode must reach
     for spin in (UP, DOWN):
-        ops_s = clique.ops_for_spin(spin)
-        hops[spin] = [op for op in ops_s if not op.is_number]
-        nums[spin] = [op for op in ops_s if op.is_number]
-        nets[spin] = odd_even_sort(position_vector(ops_s, n))
+        targets[spin] = position_vector(clique.ops_for_spin(spin), n)
+        nets[spin] = odd_even_sort(targets[spin])
 
     gates: list[Gate] = []
     swap_depth = 0
@@ -268,7 +201,7 @@ def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
         if emitted:
             swap_depth += 1
 
-    m_up, m_down = len(hops[UP]), len(hops[DOWN])
+    m_up, m_down = (sum(not op.is_number for op in clique.ops_for_spin(s)) for s in (UP, DOWN))
     rotation = diag_layer(m_up, m_down, mapping, n)
     gates.extend(rotation)
     rotation_depth = 0
@@ -276,20 +209,14 @@ def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
         rotation_depth = 2 if mapping == "jw" else 1
 
     decode: dict[HoppingOp, DecodeTable] = {}
-    for spin in (UP, DOWN):
-        perm = nets[spin].permutation
-        for m, op in enumerate(hops[spin]):
-            slot = 2 * m
-            assert perm[op.p] == slot and perm[op.q] == slot + 1
-            support, local = _local_sorted_operator(slot, spin, False, mapping, n)
-            conjugated = _conjugate_local(support, local, rotation)
-            decode[op] = _decode_from_diagonal(support, conjugated, False, f"{op}")
-        for j, op in enumerate(nums[spin]):
-            slot = 2 * len(hops[spin]) + j
-            assert perm[op.p] == slot
-            support, local = _local_sorted_operator(slot, spin, True, mapping, n)
-            conjugated = _conjugate_local(support, local, rotation)
-            decode[op] = _decode_from_diagonal(support, conjugated, True, f"{op}")
+    for op in clique.ops:
+        a, b = nets[op.spin].permutation[op.p], nets[op.spin].permutation[op.q]
+        if (a, b) != (targets[op.spin][op.p], targets[op.spin][op.q]):
+            raise DiagonalizationError(f"{op}: swap network left it on slots {a}, {b}")
+        local = pauli.operator_paulis(HoppingOp(a, b, op.spin), mapping, n)
+        decode[op] = _decode_from_diagonal(
+            pauli.support(local), pauli.conjugate(local, rotation), op.is_number, f"{op}"
+        )
 
     return MeasCircuit(
         gates=tuple(gates),
@@ -336,17 +263,30 @@ class Schedule:
         }
 
 
-def emit_schedule(universe: Universe, mapping: str, threads: int = 1) -> Schedule:
-    """Emit every clique's circuit; cliques are independent, so this can fan out."""
-    cliques = universe.cliques
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            circuits = list(pool.map(lambda c: emit(c, mapping, universe.n), cliques))
-    else:
-        circuits = [emit(c, mapping, universe.n) for c in cliques]
+def emit_schedule(universe: Universe, mapping: str) -> Schedule:
+    """Emit every clique's circuit."""
+    circuits = [emit(c, mapping, universe.n) for c in universe.cliques]
     return Schedule(universe.n, mapping, universe, circuits)
+
+
+def conjugation_problems(schedule: Schedule) -> list[str]:
+    """Tripwire: every clique operator's full form, conjugated through its
+    whole circuit, swap network included, must decode exactly to its table."""
+    problems: list[str] = []
+    for mc, circ in zip(schedule.universe.cliques, schedule.circuits):
+        for op in mc.ops:
+            table, what = circ.decode[op], f"clique {mc.id} {op}"
+            full = pauli.operator_paulis(op, schedule.mapping, schedule.n)
+            try:
+                got = _decode_from_diagonal(
+                    table.qubits, pauli.conjugate(full, circ.gates), op.is_number, what
+                )
+            except DiagonalizationError as exc:
+                problems.append(str(exc))
+                continue
+            if got != table:
+                problems.append(f"{what}: decodes to {got.values}, table says {table.values}")
+    return problems
 
 
 def _matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:

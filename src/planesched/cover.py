@@ -28,7 +28,6 @@ from .plane import (
     line_points,
     line_through,
     lines_through,
-    point_code,
 )
 
 Vertex = tuple[int, int]
@@ -187,7 +186,3 @@ def check_unique_tangent(pi: int | Prime) -> bool:
             return False
     return True
 
-
-def anchor_code(clique: PairClique, pi: int) -> int:
-    """Canonical integer id of the group's anchor point."""
-    return point_code(clique.anchor, int(pi))

@@ -9,10 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class ModulusMismatchError(ValueError):
-    """Raised when combining elements of different prime fields."""
-
-
 def is_prime(n: int) -> bool:
     """Deterministic trial division, adequate for the small plane orders used here."""
     if n < 2:
@@ -42,61 +38,6 @@ class Prime:
 
     def __index__(self) -> int:
         return self.value
-
-    def elem(self, residue: int) -> "FieldElem":
-        return FieldElem(residue % self.value, self)
-
-
-@dataclass(frozen=True)
-class FieldElem:
-    """Element of GF(p), stored as the canonical residue in [0, p)."""
-
-    residue: int
-    modulus: Prime
-
-    def __post_init__(self) -> None:
-        p = self.modulus.value
-        if not 0 <= self.residue < p:
-            object.__setattr__(self, "residue", self.residue % p)
-
-    def _same_field(self, other: "FieldElem") -> None:
-        if self.modulus != other.modulus:
-            raise ModulusMismatchError(
-                f"mixed moduli: {self.modulus.value} and {other.modulus.value}"
-            )
-
-    def __add__(self, other: "FieldElem") -> "FieldElem":
-        self._same_field(other)
-        return FieldElem((self.residue + other.residue) % self.modulus.value, self.modulus)
-
-    def __sub__(self, other: "FieldElem") -> "FieldElem":
-        self._same_field(other)
-        return FieldElem((self.residue - other.residue) % self.modulus.value, self.modulus)
-
-    def __mul__(self, other: "FieldElem") -> "FieldElem":
-        self._same_field(other)
-        return FieldElem((self.residue * other.residue) % self.modulus.value, self.modulus)
-
-    def __neg__(self) -> "FieldElem":
-        return FieldElem(-self.residue % self.modulus.value, self.modulus)
-
-    def inverse(self) -> "FieldElem":
-        p = self.modulus.value
-        if self.residue == 0:
-            raise ZeroDivisionError(f"no inverse of 0 mod {p}")
-        return FieldElem(pow(self.residue, p - 2, p), self.modulus)
-
-
-def add(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a + b
-
-
-def mul(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a * b
-
-
-def inv(a: FieldElem) -> FieldElem:
-    return a.inverse()
 
 
 def inverse_mod(a: int, p: int) -> int:

@@ -39,10 +39,6 @@ class Graph:
     edges: frozenset[tuple[Vertex, Vertex]]
 
     @property
-    def diagonal_vertices(self) -> tuple[Vertex, ...]:
-        return tuple(v for v in self.vertices if v[0] == v[1])
-
-    @property
     def pair_vertices(self) -> tuple[Vertex, ...]:
         return tuple(v for v in self.vertices if v[0] != v[1])
 

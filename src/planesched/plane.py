@@ -169,12 +169,6 @@ class Plane:
             + tuple(Line(GAMMA, i=i, j=j) for i in range(pi) for j in range(pi))
         )
 
-    def line_points(self, l: Line) -> tuple[Point, ...]:
-        return line_points(l, self.pi)
-
-    def contains(self, l: Line, p: Point) -> bool:
-        return line_contains(l, p, self.pi)
-
     def line_through(self, a: Point, b: Point) -> Line:
         return line_through(a, b, self.pi)
 

@@ -351,7 +351,7 @@ def estimate_energy_sampled(
 
 
 # ---------------------------------------------------------------------------
-# whole-circuit conjugation (the diagonalization tripwire)
+# whole-circuit dense conjugation: the test oracle for the exact tripwire in circuits
 
 def _bit_reversal_permutation(m: int) -> np.ndarray:
     idx = np.arange(1 << m)

@@ -95,5 +95,6 @@ def odd_even_sort(p: Sequence[int]) -> SwapNetwork:
             layers.append(SwapLayer(parity, tuple(swaps)))
         if all(_key(work[i]) <= _key(work[i + 1]) for i in range(n - 1)):
             break
-    assert all(_key(work[i]) <= _key(work[i + 1]) for i in range(n - 1))
+    if any(_key(work[i]) > _key(work[i + 1]) for i in range(n - 1)):
+        raise RuntimeError(f"odd-even sort left {work} unsorted after {n} passes")
     return SwapNetwork(n, tuple(layers), tuple(slot_of))

@@ -228,6 +228,9 @@ class Hamiltonian:
         n = self.n_orbitals
         self.h = np.asarray(self.h, dtype=float)
         self.g = np.asarray(self.g, dtype=float)
+        for name, value in (("e_nuc", self.e_nuc), ("h", self.h), ("g", self.g)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} has a non-finite entry (NaN or infinity)")
         if self.h.shape != (2, n, n):
             raise ValueError(f"h must have shape (2, {n}, {n}), got {self.h.shape}")
         if self.g.shape != (2, 2, n, n, n, n):

@@ -190,9 +190,44 @@ def test_grid_flag(capsys):
     assert "alpha: S" in out
 
 
-def test_threads_env_does_not_change_output(tmp_path, capsys, monkeypatch):
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    run(capsys, "schedule", "--orbitals", "3", "--out", str(p1))
-    monkeypatch.setenv("SCHED_THREADS", "4")
-    run(capsys, "schedule", "--orbitals", "3", "--out", str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
+def assert_one_line_error(capsys) -> None:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_estimate_rejects_non_finite_hamiltonian(tmp_path, capsys):
+    data = random_hamiltonian(2, seed=5).to_dict()
+    data["g"][0][1][0][1][1][0] = float("nan")
+    nan_path = tmp_path / "nan.json"
+    nan_path.write_text(json.dumps(data))
+    data = random_hamiltonian(2, seed=5).to_dict()
+    data["e_nuc"] = float("inf")
+    inf_path = tmp_path / "inf.json"
+    inf_path.write_text(json.dumps(data))
+    for path in (nan_path, inf_path):
+        assert main(["estimate", "--hamiltonian", str(path)]) == 1
+        assert_one_line_error(capsys)
+
+
+def test_estimate_bad_inputs_are_one_line_errors(tmp_path, capsys):
+    one = random_hamiltonian(1, seed=0)
+    one_path = tmp_path / "one.json"
+    one.save(str(one_path))
+    assert main(["estimate", "--hamiltonian", str(one_path)]) == 1
+    assert_one_line_error(capsys)
+
+    ham_path = tmp_path / "ham.json"
+    random_hamiltonian(2, seed=4).save(str(ham_path))
+    for content in ({"amps": []}, [1, 2], {"amplitudes": [1, 2]}):
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(content))
+        code = main(["estimate", "--hamiltonian", str(ham_path), "--state", str(state_path)])
+        assert code == 2
+        assert_one_line_error(capsys)
+
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--hamiltonian", str(ham_path), "--shots", "-5"])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text and "error: --shots" in err_text
