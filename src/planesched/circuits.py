@@ -21,16 +21,19 @@ at the very first qubit the gate reduces to a 2-qubit form.
 Every gate is Clifford, so decode tables are exact: the Pauli form of the
 operator that the swap network leaves on the sorted slots is conjugated
 through the rotation layer (``pauli.conjugate``) and must come out diagonal
-on the operator's own support.  Hopping operators decode to {-1, 0, +1},
-number operators to {0, 1}.  ``conjugation_problems`` checks the same thing
-for each operator's full form through its whole circuit.
+on the operator's own support.  That table depends only on the sorted
+operator and the rotation layer, so each distinct one is computed once.
+Hopping operators decode to {-1, 0, +1}, number operators to {0, 1}.
+``conjugation_problems`` checks the same thing, uncached, for each
+operator's full form through its whole circuit.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, partial, reduce
 
 import numpy as np
 
@@ -177,6 +180,19 @@ def _decode_from_diagonal(
     return DecodeTable(support, tuple(int(v) for v in values))
 
 
+@cache
+def _sorted_decode(
+    sorted_op: HoppingOp, m_up: int, m_down: int, mapping: str, n: int
+) -> DecodeTable:
+    """Decode table of an operator the swap network has left on its sorted
+    slots.  Nothing else enters it, so each one is computed once."""
+    local = pauli.operator_paulis(sorted_op, mapping, n)
+    rotated = pauli.conjugate(local, diag_layer(m_up, m_down, mapping, n))
+    return _decode_from_diagonal(
+        pauli.support(local), rotated, sorted_op.is_number, f"{sorted_op} on its sorted slots"
+    )
+
+
 def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
     """Swap network plus basis rotation for one clique, with decode tables."""
     if mapping not in ("jw", "parity"):
@@ -202,8 +218,7 @@ def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
             swap_depth += 1
 
     m_up, m_down = (sum(not op.is_number for op in clique.ops_for_spin(s)) for s in (UP, DOWN))
-    rotation = diag_layer(m_up, m_down, mapping, n)
-    gates.extend(rotation)
+    gates.extend(diag_layer(m_up, m_down, mapping, n))
     rotation_depth = 0
     if m_up + m_down:
         rotation_depth = 2 if mapping == "jw" else 1
@@ -213,10 +228,7 @@ def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
         a, b = nets[op.spin].permutation[op.p], nets[op.spin].permutation[op.q]
         if (a, b) != (targets[op.spin][op.p], targets[op.spin][op.q]):
             raise DiagonalizationError(f"{op}: swap network left it on slots {a}, {b}")
-        local = pauli.operator_paulis(HoppingOp(a, b, op.spin), mapping, n)
-        decode[op] = _decode_from_diagonal(
-            pauli.support(local), pauli.conjugate(local, rotation), op.is_number, f"{op}"
-        )
+        decode[op] = _sorted_decode(HoppingOp(a, b, op.spin), m_up, m_down, mapping, n)
 
     return MeasCircuit(
         gates=tuple(gates),
@@ -297,56 +309,89 @@ def _op_to_list(op: HoppingOp) -> list:
     return [op.p, op.q, SPIN_NAMES[op.spin]]
 
 
-def schedule_to_dict(schedule: Schedule) -> dict:
-    cliques = []
-    for mc, circ in zip(schedule.universe.cliques, schedule.circuits):
-        gates = []
-        for gate in circ.gates:
-            entry: dict = {"name": gate.name, "qubits": list(gate.qubits)}
+_dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+def _object(members: dict[str, str]) -> str:
+    """A JSON object from already encoded member values, keys in the order
+    ``json.dumps(sort_keys=True)`` gives them."""
+    return "{" + ",".join(f"{_dumps(k)}:{v}" for k, v in sorted(members.items())) + "}"
+
+
+def _schedule_chunks(schedule: Schedule) -> Iterator[str]:
+    """The schedule's JSON text, one clique record at a time.
+
+    The text is ``json.dumps`` of the whole document with sorted keys and
+    ``(",", ":")`` separators, plus a newline.  Each distinct gate is encoded
+    once, and each gate name's matrix once.
+    """
+    matrices: dict[str, str] = {}
+    gate_texts: dict[tuple[str, tuple[int, ...]], str] = {}
+
+    def gate_text(gate: Gate) -> str:
+        key = (gate.name, gate.qubits)
+        if key not in gate_texts:
+            members = {"name": _dumps(gate.name), "qubits": _dumps(gate.qubits)}
             if gate.name in _SERIALIZED_MATRICES:
-                entry["matrix"] = _matrix_to_pairs(gate.resolved_matrix())
-            gates.append(entry)
+                if gate.name not in matrices:
+                    matrices[gate.name] = _dumps(_matrix_to_pairs(gate.resolved_matrix()))
+                members["matrix"] = matrices[gate.name]
+            gate_texts[key] = _object(members)
+        return gate_texts[key]
+
+    # "cliques" sorts before every other top-level key
+    yield '{"cliques":['
+    for i, (mc, circ) in enumerate(zip(schedule.universe.cliques, schedule.circuits)):
         decode = [
-            {
-                "op": _op_to_list(op),
-                "qubits": list(table.qubits),
-                "values": list(table.values),
-            }
-            for op, table in ((op, circ.decode[op]) for op in mc.ops)
+            {"op": _op_to_list(op), "qubits": circ.decode[op].qubits,
+             "values": circ.decode[op].values}
+            for op in mc.ops
         ]
-        cliques.append(
-            {
-                "id": mc.id,
-                "family": mc.family,
-                "source": list(mc.source) if mc.source is not None else None,
-                "ops": [_op_to_list(op) for op in mc.ops],
-                "gates": gates,
-                "decode": decode,
-                "depth": circ.depth,
-                "permutation": {
-                    "up": list(circ.permutations[UP]),
-                    "down": list(circ.permutations[DOWN]),
-                },
-            }
-        )
-    return {
-        "version": SCHEDULE_VERSION,
-        "n_orbitals": schedule.n,
-        "mapping": schedule.mapping,
-        "plane_order": schedule.universe.pi,
-        "families": schedule.universe.family_counts(),
-        "cliques": cliques,
-    }
+        record = _object({
+            "id": _dumps(mc.id),
+            "family": _dumps(mc.family),
+            "source": _dumps(mc.source),
+            "ops": _dumps([_op_to_list(op) for op in mc.ops]),
+            "gates": "[" + ",".join(gate_text(g) for g in circ.gates) + "]",
+            "decode": _dumps(decode),
+            "depth": _dumps(circ.depth),
+            "permutation": _dumps({"up": circ.permutations[UP],
+                                   "down": circ.permutations[DOWN]}),
+        })
+        yield ("," if i else "") + record
+    tail = _object({
+        "version": _dumps(SCHEDULE_VERSION),
+        "n_orbitals": _dumps(schedule.n),
+        "mapping": _dumps(schedule.mapping),
+        "plane_order": _dumps(schedule.universe.pi),
+        "families": _dumps(schedule.universe.family_counts()),
+    })
+    yield "]," + tail[1:] + "\n"
 
 
 def schedule_json(schedule: Schedule) -> str:
     """Deterministic byte-stable serialization."""
-    return json.dumps(schedule_to_dict(schedule), sort_keys=True, separators=(",", ":")) + "\n"
+    return "".join(_schedule_chunks(schedule))
+
+
+def schedule_to_dict(schedule: Schedule) -> dict:
+    return json.loads(schedule_json(schedule))
 
 
 def write_schedule(schedule: Schedule, path: str) -> None:
+    """Write the schedule clique by clique; the file equals ``schedule_json``."""
     with open(path, "w") as f:
-        f.write(schedule_json(schedule))
+        f.writelines(_schedule_chunks(schedule))
+
+
+def schedule_file_matches(schedule: Schedule, path: str) -> bool:
+    """True when the file holds exactly the schedule's text, byte for byte."""
+    with open(path, "rb") as f:
+        for chunk in _schedule_chunks(schedule):
+            data = chunk.encode()
+            if f.read(len(data)) != data:
+                return False
+        return not f.read(1)
 
 
 def load_schedule_dict(path: str) -> dict:
@@ -380,20 +425,20 @@ def _diff_json(expected, actual, path: str, out: list[str], limit: int = 10) -> 
         out.append(f"{path}: {actual!r} != expected {expected!r}")
 
 
-def verify_schedule_dict(data: dict) -> list[str]:
-    """Recompute the schedule from its own header and report every divergence."""
-    problems: list[str] = []
-    try:
-        n = int(data["n_orbitals"])
-        mapping = str(data["mapping"])
-    except (KeyError, TypeError, ValueError) as exc:
-        return [f"header unreadable: {exc}"]
-    if data.get("version") != SCHEDULE_VERSION:
-        problems.append(f"version: {data.get('version')!r} != {SCHEDULE_VERSION}")
-    if mapping not in ("jw", "parity"):
-        return problems + [f"mapping: unknown {mapping!r}"]
-    from .universe import build_universe
+def verify_schedule_dict(data: dict, schedule: Schedule) -> list[str]:
+    """Every divergence of a loaded schedule document from ``schedule``.
 
-    expected = schedule_to_dict(emit_schedule(build_universe(n), mapping))
-    _diff_json(expected, data, "schedule", problems)
+    A file for another size, mapping or format version is reported by its
+    header alone.
+    """
+    if not isinstance(data, dict):
+        return [f"schedule: expected dict, got {type(data).__name__}"]
+    expected = schedule_to_dict(schedule)
+    problems = [
+        f"{key}: file has {data.get(key)!r}, expected {expected[key]!r}"
+        for key in ("version", "n_orbitals", "mapping")
+        if data.get(key) != expected[key]
+    ]
+    if not problems:
+        _diff_json(expected, data, "schedule", problems)
     return problems

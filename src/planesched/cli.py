@@ -63,6 +63,20 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _schedule_file_problems(path: str, schedule: circuits_mod.Schedule | None) -> list[str]:
+    """How the file differs from the schedule emitted for this run: nothing
+    when the bytes are equal, else a field-by-field report."""
+    if schedule is None:
+        return ["no schedule to compare the file with: emission failed"]
+    try:
+        if circuits_mod.schedule_file_matches(schedule, path):
+            return []
+        data = circuits_mod.load_schedule_dict(path)
+    except (OSError, ValueError) as exc:
+        return [f"unreadable schedule file: {exc}"]
+    return circuits_mod.verify_schedule_dict(data, schedule)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     n = args.orbitals
     failures: list[str] = []
@@ -111,11 +125,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures.append("conjugation tripwire failed")
 
     if args.out:
-        try:
-            data = circuits_mod.load_schedule_dict(args.out)
-            problems = circuits_mod.verify_schedule_dict(data)
-        except (OSError, json.JSONDecodeError) as exc:
-            problems = [f"unreadable schedule file: {exc}"]
+        problems = _schedule_file_problems(args.out, schedule)
         print(f"schedule_file_check: {'pass' if not problems else 'fail'}")
         for p in problems:
             print(f"schedule_file_problem: {p}")

@@ -109,12 +109,24 @@ def basis_occupation_state(bits: str) -> np.ndarray:
 # sparse operators per mapping
 
 def _pauli_string(ops: dict[int, np.ndarray], n_qubits: int) -> sp.csr_matrix:
-    """Sparse kron of single-qubit factors; qubit 0 is the least significant."""
-    mat = sp.identity(1, dtype=complex, format="csr")
-    for q in range(n_qubits):
-        factor = sp.csr_matrix(ops.get(q, np.eye(2, dtype=complex)))
-        mat = sp.kron(factor, mat, format="csr")
-    return mat
+    """Kron of single-qubit factors, qubit 0 the least significant bit.
+
+    Each factor has at most one nonzero per column, so the product does too:
+    every column's row and value are built up one factor at a time.
+    """
+    dim = 1 << n_qubits
+    cols = np.arange(dim)
+    rows = cols.copy()
+    vals = np.ones(dim, dtype=complex)
+    for q, factor in ops.items():
+        if np.count_nonzero(factor, axis=0).max() > 1:
+            raise ValueError(f"factor on qubit {q} has two nonzeros in a column")
+        row_bit = np.argmax(factor != 0, axis=0)  # indexed by the column bit
+        bit = (cols >> q) & 1
+        rows ^= (bit ^ row_bit[bit]) << q
+        vals *= factor[row_bit[bit], bit]
+    keep = vals != 0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(dim, dim))
 
 
 _PX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -208,12 +220,15 @@ def dense_hamiltonian(ham: Hamiltonian, mapping: str) -> sp.csr_matrix:
             gmat = ham.g[s1, s2]
             for p in range(n):
                 for q in range(n):
-                    left = a_of(p, q, s1)
+                    # sum_ru g[s1,s2,p,q,r,u] A(r,u,s2) first: one product per (p, q)
+                    right = sp.csr_matrix((dim, dim), dtype=complex)
                     for r in range(n):
                         for u in range(n):
                             c = gmat[p, q, r, u]
                             if c != 0.0:
-                                total = total + (c / 8) * (left @ a_of(r, u, s2))
+                                right = right + (c / 8) * a_of(r, u, s2)
+                    if right.nnz:
+                        total = total + a_of(p, q, s1) @ right
     return total.tocsr()
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Gate construction, emission, decode tables, and schedule serialization."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from planesched.circuits import (
     load_schedule_dict,
     map_fswap,
     qubit_index,
+    schedule_file_matches,
     schedule_json,
     schedule_to_dict,
     verify_schedule_dict,
@@ -184,15 +186,69 @@ def test_schedule_roundtrip_and_verification(tmp_path):
     path = tmp_path / "sched.json"
     write_schedule(schedule, str(path))
     data = load_schedule_dict(str(path))
-    assert verify_schedule_dict(data) == []
+    assert verify_schedule_dict(data, schedule) == []
     # corrupt one gate qubit: verification localizes the divergence
     for clique in data["cliques"]:
         if clique["gates"]:
             clique["gates"][0]["qubits"][0] += 1
             break
-    problems = verify_schedule_dict(data)
+    problems = verify_schedule_dict(data, schedule)
     assert problems
     assert any("gates" in p for p in problems)
+
+
+def test_verify_schedule_dict_reports_header_mismatch():
+    data = schedule_to_dict(emit_schedule(build_universe(4), "parity"))
+    problems = verify_schedule_dict(data, emit_schedule(build_universe(3), "jw"))
+    assert problems == [
+        "n_orbitals: file has 4, expected 3",
+        "mapping: file has 'parity', expected 'jw'",
+    ]
+    assert verify_schedule_dict([], emit_schedule(build_universe(3), "jw")) == [
+        "schedule: expected dict, got list"
+    ]
+
+
+# schedule files stay byte-identical for a fixed (orbitals, mapping, version)
+SCHEDULE_SHA256 = {
+    (3, "jw"): "608c6b82e51a67324b2f083f7785d3c21ab1a1142395ee23a137aa9959b4cb09",
+    (3, "parity"): "1ec5b635c33b3dec6d330930eb1337278816d9f364d9b1a9e29f5dde3ebc7a2d",
+    (4, "jw"): "929e837b680abdcdaec18cf371f5a49c0c0a2b8c2c7f660a338523c954db61f3",
+    (4, "parity"): "7c4ab7e2980016c649945f370d8a8a8574df43e6044424dc56cea66adb49c650",
+    (6, "jw"): "2ddd19731163daced61f9f8599817b444f53f0bdec2098da6c48925f105120f5",
+    (6, "parity"): "fb72dd0f0f911ad66ef4ddf25fb426e231abff6d6a72b19004ffe19437c6aea3",
+    (7, "jw"): "9545119b5b468b795ab51f51c7dd8e5a7d90278709f68f769480edeb59b9f7da",
+    (7, "parity"): "b6eeeb273f8b333628d014c624f153c94cf25e7c3511a43d57cd77ea595aea14",
+    (10, "jw"): "be00e34b049b8c89925512c62915177ead956be36bb7aafaa715751b457a8bf1",
+    (10, "parity"): "7889144a0049c70a6883d7dcae83c15e1365743614c6a50e67fe191ca851bec2",
+}
+
+
+@pytest.mark.parametrize("n, mapping", sorted(SCHEDULE_SHA256))
+def test_schedule_bytes_are_pinned(n, mapping):
+    text = schedule_json(emit_schedule(build_universe(n), mapping))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_SHA256[n, mapping]
+
+
+def test_written_file_equals_schedule_json(tmp_path):
+    for mapping in ("jw", "parity"):
+        schedule = emit_schedule(build_universe(6), mapping)
+        path = tmp_path / f"{mapping}.json"
+        write_schedule(schedule, str(path))
+        assert path.read_bytes() == schedule_json(schedule).encode()
+        assert schedule_file_matches(schedule, str(path))
+        assert schedule_to_dict(schedule) == json.loads(path.read_bytes())
+
+
+def test_schedule_file_matches_rejects_any_byte_change(tmp_path):
+    schedule = emit_schedule(build_universe(3), "jw")
+    text = schedule_json(schedule)
+    path = tmp_path / "sched.json"
+    for changed in (text[:-1], text + " ", text.replace('"id":5', '"id":6'),
+                    json.dumps(json.loads(text), indent=2)):
+        assert changed != text
+        path.write_text(changed)
+        assert not schedule_file_matches(schedule, str(path))
 
 
 def test_schedule_matrices_serialized_as_pairs():

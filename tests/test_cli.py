@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from planesched import circuits
 from planesched.cli import main
 from planesched.sim import (
     dense_hamiltonian,
@@ -83,6 +84,45 @@ def test_verify_detects_corrupted_schedule(tmp_path, capsys):
     assert code == 1
     assert "schedule_file_check: fail" in out
     assert "schedule_file_problem" in out
+
+
+def test_verify_accepts_reformatted_schedule(tmp_path, capsys):
+    path = tmp_path / "sched.json"
+    assert run(capsys, "schedule", "--orbitals", "4", "--mapping", "parity",
+               "--out", str(path))[0] == 0
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=2))
+    code, out = run(capsys, "verify", "--orbitals", "4", "--mapping", "parity",
+                    "--out", str(path))
+    assert code == 0
+    assert "schedule_file_check: pass" in out
+
+
+def test_verify_rejects_schedule_for_other_orbitals_or_mapping(tmp_path, capsys):
+    path = tmp_path / "sched.json"
+    assert run(capsys, "schedule", "--orbitals", "4", "--mapping", "parity",
+               "--out", str(path))[0] == 0
+    code, out = run(capsys, "verify", "--orbitals", "3", "--mapping", "jw", "--out", str(path))
+    assert code == 1
+    assert "schedule_file_check: fail" in out
+    problems = [line for line in out.splitlines() if line.startswith("schedule_file_problem: ")]
+    assert any("n_orbitals" in line for line in problems)
+    assert any("mapping" in line for line in problems)
+    assert "verify_result: fail" in out
+
+
+def test_verify_out_after_failed_emission(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "sched.json"
+    assert run(capsys, "schedule", "--orbitals", "3", "--out", str(path))[0] == 0
+
+    def fail(universe, mapping):
+        raise circuits.DiagonalizationError("injected")
+
+    monkeypatch.setattr(circuits, "emit_schedule", fail)
+    code, out = run(capsys, "verify", "--orbitals", "3", "--out", str(path))
+    assert code == 1
+    assert "emission_check: fail" in out
+    assert out.count("schedule_file_check: fail") == 1
+    assert "verify_result: fail" in out
 
 
 def test_estimate_exact_matches_dense(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from planesched import sim
 from planesched.circuits import Gate, emit_schedule
 from planesched.sim import (
     SizeLimitError,
@@ -70,6 +72,26 @@ def test_jw_fswap_sign_on_double_occupation():
     state01 = basis_occupation_state("10")  # mode 0 occupied
     out = apply_gate(state01, Gate("FSWAP2", (0, 1)), 2)
     assert np.allclose(out, basis_occupation_state("01"))
+
+
+def test_pauli_string_matches_sparse_kron_chain():
+    def kron_chain(ops, n_qubits):
+        mat = sp.identity(1, dtype=complex, format="csr")
+        for q in range(n_qubits):
+            mat = sp.kron(sp.csr_matrix(ops.get(q, np.eye(2, dtype=complex))), mat, format="csr")
+        return mat
+
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    factors = [sim._PX, sim._PY, sim._PZ, 1j * sim._PY, lower, lower.T]
+    rng = np.random.default_rng(3)
+    for n_qubits in range(1, 6):
+        for _ in range(30):
+            qubits = rng.choice(n_qubits, size=rng.integers(0, n_qubits + 1), replace=False)
+            ops = {int(q): factors[rng.integers(len(factors))] for q in qubits}
+            diff = sim._pauli_string(ops, n_qubits) - kron_chain(ops, n_qubits)
+            assert diff.count_nonzero() == 0, ops
+    with pytest.raises(ValueError, match="two nonzeros"):
+        sim._pauli_string({0: np.ones((2, 2))}, 1)
 
 
 def test_number_operator_is_projector_diagonal():
