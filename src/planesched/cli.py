@@ -18,7 +18,9 @@ from . import cover as cover_mod
 from . import graphcheck as graph_mod
 from . import sim as sim_mod
 from .universe import (
-    Hamiltonian,
+    FAMILIES,
+    Decomposition,
+    TermKey,
     build_universe,
     classify_terms,
     decompose,
@@ -153,19 +155,28 @@ def _parse_state(spec: str, n_qubits: int) -> np.ndarray:
         raise ValueError(f"amplitudes must be [re, im] number pairs: {exc}") from exc
     if amps.shape != (1 << n_qubits,):
         raise ValueError(f"amplitude file has {amps.shape[0]} entries, expected {1 << n_qubits}")
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("amplitudes must be finite")
     norm = np.linalg.norm(amps)
+    if norm == 0.0:
+        raise ValueError("amplitudes are all zero")
     if abs(norm - 1.0) > 1e-9:
         amps = amps / norm
     return amps
 
 
-def _family_contributions(primitives, schedule, ham: Hamiltonian) -> dict[str, float]:
-    const, coeffs = decompose(ham)
-    contributions = {"nuclear": const, "part": 0.0, "one_body": 0.0,
-                     "diff_spin": 0.0, "same_spin": 0.0}
+def _family_contributions(
+    primitives: dict[TermKey, float],
+    schedule: circuits_mod.Schedule,
+    decomposition: Decomposition,
+    grouped: dict[int, list[TermKey]],
+) -> dict[str, float]:
+    const, coeffs = decomposition
+    family_of = {term: schedule.universe.cliques[cid].family
+                 for cid, terms in grouped.items() for term in terms}
+    contributions = {"nuclear": const, **dict.fromkeys(FAMILIES, 0.0)}
     for term, c in coeffs.items():
-        family = schedule.universe.cliques[route_term(term, schedule.universe)].family
-        contributions[family] += c * primitives[term]
+        contributions[family_of[term]] += c * primitives[term]
     return contributions
 
 
@@ -199,19 +210,24 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     print(f"mapping: {args.mapping}")
     print(f"state: {args.state}")
     if args.shots == 0:
-        primitives = sim_mod.primitive_expectations(state, schedule)
-        report = sim_mod.assemble_report(primitives, schedule, ham)
-        for family, value in _family_contributions(primitives, schedule, ham).items():
+        decomposition = decompose(ham)
+        grouped = sim_mod.terms_by_clique(schedule)
+        primitives = sim_mod.primitive_expectations(state, schedule, grouped)
+        report = sim_mod.assemble_report(primitives, schedule, ham, decomposition)
+        contributions = _family_contributions(primitives, schedule, decomposition, grouped)
+        for family, value in contributions.items():
             print(f"energy_{family}: {value:.12f}")
         print(f"energy: {report.energy:.12f}")
     else:
-        energy, stderr = sim_mod.estimate_energy_sampled(
+        sampled = sim_mod.estimate_energy_sampled(
             state, schedule, ham, args.shots, args.seed
         )
         print(f"shots_per_clique: {args.shots}")
         print(f"seed: {args.seed}")
-        print(f"energy: {energy:.12f}")
-        print(f"energy_stderr: {stderr:.12f}")
+        print(f"energy: {sampled.energy:.12f}")
+        print(f"energy_stderr: {sampled.stderr:.12f}")
+        for family, value in sampled.family_stderr.items():
+            print(f"energy_stderr_{family}: {value:.12f}")
     return 0
 
 
@@ -261,6 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         build_parser().error("--orbitals must be at least 2")
     if getattr(args, "shots", 0) < 0:
         build_parser().error("--shots must be 0 (exact) or positive")
+    if getattr(args, "seed", 0) < 0:
+        build_parser().error("--seed must be 0 or positive")
     return args.func(args)
 
 

@@ -11,15 +11,18 @@ parity stores their running XOR.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from .circuits import Gate, MeasCircuit, Schedule
+from .circuits import GATE_MATRICES, DecodeTable, Gate, MeasCircuit, Schedule
 from .universe import (
     DOWN,
+    FAMILIES,
     UP,
     CoverageError,
+    Decomposition,
     Hamiltonian,
     HoppingOp,
     TermKey,
@@ -27,6 +30,9 @@ from .universe import (
     decompose,
     route_term,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MAX_QUBITS = 14
 
@@ -43,16 +49,63 @@ def _check_size(n_qubits: int) -> None:
 # ---------------------------------------------------------------------------
 # state vectors and gate application
 
+def _bit_reversal_permutation(m: int) -> np.ndarray:
+    idx = np.arange(1 << m)
+    rev = np.zeros_like(idx)
+    for b in range(m):
+        rev |= ((idx >> b) & 1) << (m - 1 - b)
+    return rev
+
+
+def _signed_rows(mat: np.ndarray) -> tuple[float, tuple[tuple[tuple[int, int], ...], ...]]:
+    """A gate matrix as ``scale`` times a matrix of signs, row by row.
+
+    Rows and columns are reindexed little-endian (the gate's lowest qubit is
+    bit 0 of the local index); each row lists its nonzero entries as
+    (column, sign) pairs, a positive sign first when the row has one.
+    """
+    rev = _bit_reversal_permutation(mat.shape[0].bit_length() - 1)
+    local = mat[np.ix_(rev, rev)]
+    scale = float(np.abs(local).max())
+    signs = local / scale
+    if not np.all(np.isin(signs, (-1, 0, 1))):
+        raise ValueError("gate matrix is not a scaled matrix of signs")
+    rows = []
+    for row in signs.real.astype(int):
+        cols = np.flatnonzero(row)
+        rows.append(tuple(sorted(((int(c), int(row[c])) for c in cols), key=lambda e: -e[1])))
+    return scale, tuple(rows)
+
+
+# the name fixes the matrix, so each gate name's rows are built once
+_GATE_ROWS = {name: _signed_rows(mat) for name, mat in GATE_MATRICES.items()}
+_ACCUMULATE = {1: np.add, -1: np.subtract}
+
+
 def apply_gate(state: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
-    """Apply one gate; returns a new vector."""
-    mat = gate.resolved_matrix()
-    m = len(gate.qubits)
-    psi = state.reshape([2] * n_qubits)
-    axes = [n_qubits - 1 - q for q in gate.qubits]
-    tensor = mat.reshape([2] * (2 * m))
-    psi = np.tensordot(tensor, psi, axes=(list(range(m, 2 * m)), axes))
-    psi = np.moveaxis(psi, list(range(m)), axes)
-    return np.ascontiguousarray(psi).reshape(-1)
+    """Apply one gate; returns a new vector.
+
+    ``Gate`` holds contiguous ascending qubits, so the state is a
+    (high, 2^m, low) array and each output row is a signed sum of input rows.
+    """
+    scale, rows = _GATE_ROWS[gate.name]
+    q0, m = gate.qubits[0], len(gate.qubits)
+    psi = state.reshape(1 << (n_qubits - q0 - m), len(rows), 1 << q0)
+    out = np.empty(psi.shape, dtype=complex)
+    for r, ((col, sign), *rest) in enumerate(rows):
+        dst = out[:, r, :]
+        if rest and sign > 0:  # start from the first two rows in one pass
+            (col2, sign2), *rest = rest
+            _ACCUMULATE[sign2](psi[:, col, :], psi[:, col2, :], out=dst)
+        elif sign > 0:
+            np.copyto(dst, psi[:, col, :])  # np.positive is several times slower
+        else:
+            np.negative(psi[:, col, :], out=dst)
+        for col2, sign2 in rest:
+            _ACCUMULATE[sign2](dst, psi[:, col2, :], out=dst)
+    if scale != 1.0:
+        out *= scale
+    return out.reshape(-1)
 
 
 def apply_circuit(state: np.ndarray, gates, n_qubits: int) -> np.ndarray:
@@ -114,6 +167,8 @@ def _pauli_string(ops: dict[int, np.ndarray], n_qubits: int) -> sp.csr_matrix:
     Each factor has at most one nonzero per column, so the product does too:
     every column's row and value are built up one factor at a time.
     """
+    import scipy.sparse as sp
+
     dim = 1 << n_qubits
     cols = np.arange(dim)
     rows = cols.copy()
@@ -195,6 +250,8 @@ def term_matrix(term: TermKey, mapping: str, n: int) -> sp.csr_matrix:
 
 def dense_hamiltonian(ham: Hamiltonian, mapping: str) -> sp.csr_matrix:
     """Independent energy oracle: the operator sum assembled term by term."""
+    import scipy.sparse as sp
+
     n = ham.n_orbitals
     nq = 2 * n
     _check_size(nq)
@@ -249,17 +306,20 @@ class ExpectationReport:
     energy: float | None = None
 
 
-def decode_value_vector(table, n_qubits: int) -> np.ndarray:
-    """Eigenvalue of the decoded operator for every basis index."""
+def decode_value_vector(table: DecodeTable, n_qubits: int) -> np.ndarray:
+    """Eigenvalue of the decoded operator for every basis index (read-only)."""
     idx = np.arange(1 << n_qubits)
     k = len(table.qubits)
     local = np.zeros_like(idx)
     for i, q in enumerate(table.qubits):
         local |= ((idx >> q) & 1) << (k - 1 - i)
-    return np.asarray(table.values, dtype=float)[local]
+    values = np.asarray(table.values, dtype=float)[local]
+    values.flags.writeable = False
+    return values
 
 
-def _terms_by_clique(schedule: Schedule) -> dict[int, list[TermKey]]:
+def terms_by_clique(schedule: Schedule) -> dict[int, list[TermKey]]:
+    """Every measurable term, grouped under the clique it is routed to."""
     grouped: dict[int, list[TermKey]] = {}
     for term in classify_terms(schedule.n):
         cid = route_term(term, schedule.universe)
@@ -267,22 +327,38 @@ def _terms_by_clique(schedule: Schedule) -> dict[int, list[TermKey]]:
     return grouped
 
 
-def primitive_expectations(state: np.ndarray, schedule: Schedule) -> dict[TermKey, float]:
-    """Exact expectation of every measurable term via its routed circuit."""
+def _value_vectors(n_qubits: int):
+    """Decode table -> its value vector, built on first use: a schedule holds
+    a few dozen distinct tables for thousands of operators."""
+    return cache(lambda table: decode_value_vector(table, n_qubits))
+
+
+def _term_values(terms: list[TermKey], circuit: MeasCircuit, vector):
+    """(term, value vector) for each term, its factors' vectors looked up once."""
+    ops = {op: vector(circuit.decode[op]) for term in terms for op in term}
+    for term in terms:
+        value = ops[term[0]]
+        for op in term[1:]:
+            value = value * ops[op]
+        yield term, value
+
+
+def primitive_expectations(
+    state: np.ndarray, schedule: Schedule, grouped: dict[int, list[TermKey]] | None = None
+) -> dict[TermKey, float]:
+    """Exact expectation of every measurable term via its routed circuit.
+
+    ``grouped`` is ``terms_by_clique(schedule)``, computed here if not given.
+    """
     nq = 2 * schedule.n
+    if grouped is None:
+        grouped = terms_by_clique(schedule)
+    vector = _value_vectors(nq)
     out: dict[TermKey, float] = {}
-    for cid, terms in sorted(_terms_by_clique(schedule).items()):
+    for cid, terms in sorted(grouped.items()):
         circuit = schedule.circuits[cid]
         probs = np.abs(apply_circuit(state, circuit.gates, nq)) ** 2
-        vectors: dict[HoppingOp, np.ndarray] = {}
-        for term in terms:
-            for op in term:
-                if op not in vectors:
-                    vectors[op] = decode_value_vector(circuit.decode[op], nq)
-        for term in terms:
-            value = vectors[term[0]]
-            for op in term[1:]:
-                value = value * vectors[op]
+        for term, value in _term_values(terms, circuit, vector):
             out[term] = float(probs @ value)
     return out
 
@@ -296,15 +372,20 @@ def _diag_factor(term: TermKey) -> int:
 
 
 def assemble_report(
-    primitives: dict[TermKey, float], schedule: Schedule, ham: Hamiltonian | None
+    primitives: dict[TermKey, float],
+    schedule: Schedule,
+    ham: Hamiltonian | None,
+    decomposition: Decomposition | None = None,
 ) -> ExpectationReport:
+    """The report of ``primitives``; ``decomposition`` is ``decompose(ham)``,
+    computed here if not given."""
     one_body = {t[0]: _diag_factor(t) * v for t, v in primitives.items() if len(t) == 1}
     two_body = {t: _diag_factor(t) * v for t, v in primitives.items() if len(t) == 2}
     energy = None
     if ham is not None:
         if ham.n_orbitals != schedule.n:
             raise ValueError("Hamiltonian size does not match the schedule")
-        const, coeffs = decompose(ham)
+        const, coeffs = decomposition if decomposition is not None else decompose(ham)
         energy = const
         for term, c in coeffs.items():
             if term not in primitives:
@@ -332,52 +413,61 @@ def sample_shots(
     return rng.multinomial(shots, probs)
 
 
+class SampledEnergy(NamedTuple):
+    """A shot-based energy, its standard error, and that error per clique family."""
+
+    energy: float
+    stderr: float
+    family_stderr: dict[str, float]
+
+
 def estimate_energy_sampled(
-    state: np.ndarray, schedule: Schedule, ham: Hamiltonian, shots: int, seed: int
-) -> tuple[float, float]:
+    state: np.ndarray,
+    schedule: Schedule,
+    ham: Hamiltonian,
+    shots: int,
+    seed: int,
+) -> SampledEnergy:
     """Shot-based energy estimate with its standard error.
 
     Each clique gets ``shots`` samples; clique contributions are independent,
-    so their variances add.
+    so their variances add, in total and within each family (every clique
+    belongs to one).
     """
     nq = 2 * schedule.n
     const, coeffs = decompose(ham)
-    grouped = _terms_by_clique(schedule)
+    grouped = terms_by_clique(schedule)
+    vector = _value_vectors(nq)
     energy = const
     variance = 0.0
+    family_variance = dict.fromkeys(FAMILIES, 0.0)
     for cid, terms in sorted(grouped.items()):
-        weights = [(t, coeffs[t]) for t in terms if t in coeffs]
-        if not weights:
+        terms = [t for t in terms if t in coeffs]
+        if not terms:
             continue
         circuit = schedule.circuits[cid]
         counts = sample_shots(state, circuit, shots, seed + cid, nq)
         freqs = counts / shots
         composite = np.zeros(1 << nq)
-        for term, c in weights:
-            value = decode_value_vector(circuit.decode[term[0]], nq)
-            for op in term[1:]:
-                value = value * decode_value_vector(circuit.decode[op], nq)
-            composite += c * value
+        for term, value in _term_values(terms, circuit, vector):
+            composite += coeffs[term] * value
         mean = float(freqs @ composite)
         second = float(freqs @ composite**2)
         energy += mean
-        variance += max(second - mean * mean, 0.0) / shots
-    return energy, float(np.sqrt(variance))
+        clique_variance = max(second - mean * mean, 0.0) / shots
+        variance += clique_variance
+        family_variance[schedule.universe.cliques[cid].family] += clique_variance
+    family_stderr = {f: float(np.sqrt(v)) for f, v in family_variance.items()}
+    return SampledEnergy(energy, float(np.sqrt(variance)), family_stderr)
 
 
 # ---------------------------------------------------------------------------
 # whole-circuit dense conjugation: the test oracle for the exact tripwire in circuits
 
-def _bit_reversal_permutation(m: int) -> np.ndarray:
-    idx = np.arange(1 << m)
-    rev = np.zeros_like(idx)
-    for b in range(m):
-        rev |= ((idx >> b) & 1) << (m - 1 - b)
-    return rev
-
-
 def embed_gate(gate: Gate, n_qubits: int) -> sp.csr_matrix:
     """Sparse full-space matrix of a gate on contiguous ascending qubits."""
+    import scipy.sparse as sp
+
     qs = gate.qubits
     m = len(qs)
     if list(qs) != list(range(qs[0], qs[0] + m)):

@@ -58,6 +58,7 @@ class HoppingOp(NamedTuple):
 
 
 TermKey = tuple[HoppingOp, ...]  # one or two commuting factors, canonically sorted
+Decomposition = tuple[float, dict[TermKey, float]]  # constant, coefficient per term
 
 
 def one_body_key(p: int, q: int, spin: int) -> TermKey:
@@ -93,12 +94,16 @@ def classify_terms(n: int) -> list[TermKey]:
     return terms
 
 
+# the clique families, in the order they are built and reported
+FAMILIES = ("part", "one_body", "diff_spin", "same_spin")
+
+
 @dataclass(frozen=True)
 class MeasurementClique:
     """One simultaneously measurable operator set."""
 
     id: int
-    family: str  # "part" | "one_body" | "diff_spin" | "same_spin"
+    family: str  # one of FAMILIES
     ops: tuple[HoppingOp, ...]
     source: tuple | None = None
 
@@ -129,7 +134,7 @@ class Universe:
         return iter(self.cliques)
 
     def family_counts(self) -> dict[str, int]:
-        counts = {"part": 0, "one_body": 0, "diff_spin": 0, "same_spin": 0}
+        counts = dict.fromkeys(FAMILIES, 0)
         for c in self.cliques:
             counts[c.family] += 1
         return counts
@@ -293,7 +298,7 @@ def random_hamiltonian(n: int, seed: int) -> Hamiltonian:
     g = sum(g.transpose(axes) for axes in _G_SYMMETRY_AXES) / len(_G_SYMMETRY_AXES)
     return Hamiltonian(n, float(rng.normal()), h, g)
 
-def decompose(ham: Hamiltonian) -> tuple[float, dict[TermKey, float]]:
+def decompose(ham: Hamiltonian) -> Decomposition:
     """Expand the Hamiltonian onto the measurable term basis.
 
     Disjoint products map through directly (a diagonal factor A(p,p) is twice

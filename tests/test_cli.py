@@ -1,10 +1,14 @@
 """Command-line behavior: stats, verification, estimation, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import planesched
 from planesched import circuits
 from planesched.cli import main
 from planesched.sim import (
@@ -12,7 +16,7 @@ from planesched.sim import (
     occupation_to_qubit_state,
     random_occupation_state,
 )
-from planesched.universe import random_hamiltonian
+from planesched.universe import FAMILIES, random_hamiltonian
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -197,6 +201,11 @@ def test_estimate_shots_reproducible(tmp_path, capsys):
     _, out2 = run(capsys, *args)
     assert out1 == out2
     assert "energy_stderr:" in out1
+    stats = parse_stats(out1)
+    family_lines = [k for k in stats if k.startswith("energy_stderr_")]
+    assert family_lines == [f"energy_stderr_{f}" for f in FAMILIES]
+    family_sum = sum(float(stats[k]) ** 2 for k in family_lines)
+    assert abs(family_sum - float(stats["energy_stderr"]) ** 2) < 1e-9
 
 
 def test_estimate_too_large_exact(tmp_path, capsys):
@@ -271,3 +280,60 @@ def test_estimate_bad_inputs_are_one_line_errors(tmp_path, capsys):
     assert err.value.code == 2
     err_text = capsys.readouterr().err
     assert "Traceback" not in err_text and "error: --shots" in err_text
+
+
+def test_estimate_rejects_negative_seed(tmp_path, capsys):
+    ham_path = tmp_path / "ham.json"
+    random_hamiltonian(2, seed=4).save(str(ham_path))
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--hamiltonian", str(ham_path), "--shots", "10", "--seed", "-5"])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text and "error: --seed" in err_text
+
+
+def test_estimate_rejects_zero_or_non_finite_amplitudes(tmp_path, capsys):
+    ham_path = tmp_path / "ham.json"
+    random_hamiltonian(2, seed=4).save(str(ham_path))
+    zeros = [[0.0, 0.0]] * 16
+    with_nan = [[0.25, 0.0]] * 15 + [[float("nan"), 0.0]]
+    with_inf = [[0.25, 0.0]] * 15 + [[0.0, float("inf")]]
+    for amplitudes in (zeros, with_nan, with_inf):
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps({"amplitudes": amplitudes}))
+        for extra in ([], ["--shots", "10"]):
+            code = main(["estimate", "--hamiltonian", str(ham_path),
+                         "--state", str(state_path), *extra])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and err.startswith("error: bad state spec")
+            assert err.count("\n") == 1
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """The CLI's commands use numpy only; scipy loads when the dense oracle runs."""
+    ham_path = tmp_path / "ham.json"
+    random_hamiltonian(2, seed=4).save(str(ham_path))
+    script = f"""
+import contextlib, io, sys
+import planesched.cli as cli
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded(), loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["schedule", "--orbitals", "3", "--out", {str(tmp_path / "s.json")!r}],
+                 ["verify", "--orbitals", "3"],
+                 ["estimate", "--hamiltonian", {str(ham_path)!r}],
+                 ["estimate", "--hamiltonian", {str(ham_path)!r}, "--shots", "10"]):
+        assert cli.main(argv) == 0, argv
+assert not loaded(), loaded()
+from planesched import sim, universe
+dense = sim.dense_hamiltonian(universe.random_hamiltonian(2, seed=4), "jw")
+assert dense.shape == (16, 16) and loaded()
+"""
+    # the child imports this same copy of the package
+    package_root = os.path.dirname(os.path.dirname(planesched.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -5,10 +5,11 @@ import pytest
 import scipy.sparse as sp
 
 from planesched import sim
-from planesched.circuits import Gate, emit_schedule
+from planesched.circuits import GATE_MATRICES, DecodeTable, Gate, emit_schedule
 from planesched.sim import (
     SizeLimitError,
     annihilation_operator,
+    assemble_report,
     apply_circuit,
     apply_gate,
     basis_occupation_state,
@@ -30,32 +31,50 @@ from planesched.sim import (
     random_occupation_state,
     sample_shots,
     term_matrix,
+    terms_by_clique,
 )
 from planesched.universe import (
     DOWN,
     UP,
     HoppingOp,
     build_universe,
+    decompose,
     random_hamiltonian,
 )
 
 
 def test_apply_gate_matches_sparse_embedding():
     rng = np.random.default_rng(0)
-    nq = 4
+    nq = 8
     state = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
     state /= np.linalg.norm(state)
+    for name, mat in GATE_MATRICES.items():
+        width = mat.shape[0].bit_length() - 1
+        for first in range(nq - width + 1):
+            gate = Gate(name, tuple(range(first, first + width)))
+            via_rows = apply_gate(state, gate, nq)
+            assert np.allclose(via_rows, embed_gate(gate, nq) @ state, atol=1e-14), gate
+            assert abs(np.linalg.norm(via_rows) - 1) < 1e-12
     gates = [
         Gate("H", (2,)),
         Gate("CNOT", (1, 2)),
         Gate("FSWAP2", (0, 1)),
     ]
-    via_tensors = apply_circuit(state, gates, nq)
+    via_rows = apply_circuit(state, gates, nq)
     via_matrices = state.copy()
     for g in gates:
         via_matrices = embed_gate(g, nq) @ via_matrices
-    assert np.allclose(via_tensors, via_matrices)
-    assert abs(np.linalg.norm(via_tensors) - 1) < 1e-12
+    assert np.allclose(via_rows, via_matrices)
+    assert abs(np.linalg.norm(via_rows) - 1) < 1e-12
+
+
+def test_apply_gate_rejects_wrong_qubit_count():
+    state = random_occupation_state(4, seed=5)
+    for n_qubits in (3, 5):
+        with pytest.raises(ValueError):
+            apply_gate(state, Gate("CNOT", (1, 2)), n_qubits)
+    with pytest.raises(ValueError):
+        apply_gate(state, Gate("FSWAP3", (2, 3, 4)), 4)
 
 
 def test_identity_circuit_preserves_state():
@@ -227,8 +246,6 @@ def test_conjugation_tripwire_small():
 
 
 def test_decode_value_vector_reads_support_bits():
-    from planesched.circuits import DecodeTable
-
     table = DecodeTable(qubits=(1,), values=(0, 1))
     vec = decode_value_vector(table, 2)
     assert np.allclose(vec, [0, 0, 1, 1])
@@ -236,6 +253,10 @@ def test_decode_value_vector_reads_support_bits():
     # first listed qubit is the most significant table bit
     vec = decode_value_vector(table, 2)
     assert np.allclose(vec, [0, -1, 1, 0])
+    # one vector serves every operator with this table, so it cannot be written
+    assert not vec.flags.writeable
+    with pytest.raises(ValueError):
+        vec[0] = 5.0
 
 
 def test_sample_shots_validation_and_reproducibility():
@@ -273,11 +294,39 @@ def test_sampled_energy_close_to_exact():
     occ = random_occupation_state(2 * n, seed=2)
     psi = occupation_to_qubit_state(occ, "jw", 2 * n)
     exact = estimate_all(psi, schedule, ham).energy
-    energy, stderr = estimate_energy_sampled(psi, schedule, ham, shots=20000, seed=5)
+    energy, stderr, _ = estimate_energy_sampled(psi, schedule, ham, shots=20000, seed=5)
     assert stderr > 0
     assert abs(energy - exact) <= 6 * stderr
-    energy2, _ = estimate_energy_sampled(psi, schedule, ham, shots=20000, seed=5)
+    energy2, _, _ = estimate_energy_sampled(psi, schedule, ham, shots=20000, seed=5)
     assert energy == energy2
+
+
+def test_sampled_family_variances_add_up_to_total():
+    n = 3
+    universe = build_universe(n)
+    ham = random_hamiltonian(n, seed=6)
+    for mapping in ("jw", "parity"):
+        schedule = emit_schedule(universe, mapping)
+        occ = random_occupation_state(2 * n, seed=4)
+        psi = occupation_to_qubit_state(occ, mapping, 2 * n)
+        sampled = estimate_energy_sampled(psi, schedule, ham, shots=300, seed=2)
+        assert set(sampled.family_stderr) == set(universe.family_counts())
+        assert all(s > 0 for s in sampled.family_stderr.values())
+        family_sum = sum(s**2 for s in sampled.family_stderr.values())
+        assert abs(family_sum - sampled.stderr**2) < 1e-12
+
+
+def test_precomputed_routing_and_decomposition_change_nothing():
+    n = 3
+    schedule = emit_schedule(build_universe(n), "parity")
+    ham = random_hamiltonian(n, seed=8)
+    psi = occupation_to_qubit_state(random_occupation_state(2 * n, seed=1), "parity", 2 * n)
+    grouped = terms_by_clique(schedule)
+    decomposition = decompose(ham)
+    primitives = primitive_expectations(psi, schedule)
+    assert primitive_expectations(psi, schedule, grouped) == primitives
+    assert (assemble_report(primitives, schedule, ham, decomposition).energy
+            == assemble_report(primitives, schedule, ham).energy)
 
 
 def test_occupation_permutation_parity():
