@@ -26,6 +26,12 @@ operator and the rotation layer, so each distinct one is computed once.
 Hopping operators decode to {-1, 0, +1}, number operators to {0, 1}.
 ``conjugation_problems`` checks the same thing, uncached, for each
 operator's full form through its whole circuit.
+
+Cliques repeat work: a spin block's network depends only on its position
+vector, which many cliques share.  Emission therefore sorts each distinct
+vector once, builds one immutable ``Gate`` per ``(name, qubits)``, and
+shares each network's per-layer gate tuples and each rotation layer among
+the circuits that use them.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, partial, reduce
+from itertools import zip_longest
 
 import numpy as np
 
@@ -130,39 +137,66 @@ def qubit_index(mode: int, spin: int, n: int) -> int:
     return mode + spin * n
 
 
+@cache
+def _gate(name: str, qubits: tuple[int, ...]) -> Gate:
+    """The one shared ``Gate`` per ``(name, qubits)``, validated once."""
+    return Gate(name, qubits)
+
+
 def map_fswap(l: int, spin: int, mapping: str, n: int) -> Gate:
     """Gate for the fermionic swap of modes (l, l+1) inside one spin block."""
     if not 0 <= l < n - 1:
         raise InvalidSwapError(f"swap ({l}, {l + 1}) leaves the block of {n} modes")
     g = qubit_index(l, spin, n)
     if mapping == "jw":
-        return Gate("FSWAP2", (g, g + 1))
+        return _gate("FSWAP2", (g, g + 1))
     if mapping == "parity":
         if g == 0:
-            return Gate("FSWAP_EDGE", (0, 1))
-        return Gate("FSWAP3", (g - 1, g, g + 1))
+            return _gate("FSWAP_EDGE", (0, 1))
+        return _gate("FSWAP3", (g - 1, g, g + 1))
     raise ValueError(f"unknown mapping: {mapping!r}")
 
 
-def diag_layer(m_up: int, m_down: int, mapping: str, n: int) -> list[Gate]:
-    """Basis-rotation gates for sorted hopping pairs (m_up up pairs, m_down down)."""
+@cache
+def _rotation_layer(m_up: int, m_down: int, mapping: str, n: int) -> tuple[Gate, ...]:
+    """The rotation layer, shared by every circuit with these pair counts."""
     if mapping not in ("jw", "parity"):
         raise ValueError(f"unknown mapping: {mapping!r}")
-    gates: list[Gate] = []
     pair_qubits = [
         qubit_index(2 * l, spin, n)
         for spin, m in ((UP, m_up), (DOWN, m_down))
         for l in range(m)
     ]
+    hadamards = tuple(_gate("H", (q,)) for q in pair_qubits)
     if mapping == "jw":
-        for q in pair_qubits:
-            gates.append(Gate("CNOT", (q, q + 1)))
-        for q in pair_qubits:
-            gates.append(Gate("H", (q,)))
-    else:
-        for q in pair_qubits:
-            gates.append(Gate("H", (q,)))
-    return gates
+        return tuple(_gate("CNOT", (q, q + 1)) for q in pair_qubits) + hadamards
+    return hadamards
+
+
+def diag_layer(m_up: int, m_down: int, mapping: str, n: int) -> list[Gate]:
+    """Basis-rotation gates for sorted hopping pairs (m_up up pairs, m_down down)."""
+    return list(_rotation_layer(m_up, m_down, mapping, n))
+
+
+@cache
+def _network(target: tuple[int, ...]) -> SwapNetwork:
+    """The sorting network of one spin block's position vector."""
+    return odd_even_sort(target)
+
+
+@cache
+def _block_swaps(spin: int, mapping: str, n: int) -> tuple[Gate, ...]:
+    """``map_fswap(l, spin, mapping, n)`` for every left slot l of the block."""
+    return tuple(map_fswap(l, spin, mapping, n) for l in range(n - 1))
+
+
+@cache
+def _swap_layers(
+    target: tuple[int, ...], spin: int, mapping: str
+) -> tuple[tuple[Gate, ...], ...]:
+    """The network's swap gates on spin block ``spin``, one tuple per layer."""
+    fswaps = _block_swaps(spin, mapping, len(target))
+    return tuple(tuple([fswaps[l] for l in layer.swaps]) for layer in _network(target).layers)
 
 
 def _decode_from_diagonal(
@@ -187,7 +221,7 @@ def _sorted_decode(
     """Decode table of an operator the swap network has left on its sorted
     slots.  Nothing else enters it, so each one is computed once."""
     local = pauli.operator_paulis(sorted_op, mapping, n)
-    rotated = pauli.conjugate(local, diag_layer(m_up, m_down, mapping, n))
+    rotated = pauli.conjugate(local, _rotation_layer(m_up, m_down, mapping, n))
     return _decode_from_diagonal(
         pauli.support(local), rotated, sorted_op.is_number, f"{sorted_op} on its sorted slots"
     )
@@ -197,28 +231,24 @@ def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
     """Swap network plus basis rotation for one clique, with decode tables."""
     if mapping not in ("jw", "parity"):
         raise ValueError(f"unknown mapping: {mapping!r}")
-    nets: dict[int, SwapNetwork] = {}
-    targets: dict[int, list[int]] = {}  # spin -> the slot each mode must reach
+    targets: dict[int, tuple[int, ...]] = {}  # spin -> the slot each mode must reach
+    pairs: dict[int, int] = {}  # spin -> hopping operators in the block
     for spin in (UP, DOWN):
-        targets[spin] = position_vector(clique.ops_for_spin(spin), n)
-        nets[spin] = odd_even_sort(targets[spin])
+        ops = clique.ops_for_spin(spin)
+        targets[spin] = tuple(position_vector(ops, n))
+        pairs[spin] = sum(not op.is_number for op in ops)
+    nets = {spin: _network(target) for spin, target in targets.items()}
 
+    # the two blocks' swaps share each layer, up block first
     gates: list[Gate] = []
-    swap_depth = 0
-    max_layers = max(len(nets[UP].layers), len(nets[DOWN].layers))
-    for layer_idx in range(max_layers):
-        emitted = False
-        for spin in (UP, DOWN):
-            layers = nets[spin].layers
-            if layer_idx < len(layers):
-                for l in layers[layer_idx].swaps:
-                    gates.append(map_fswap(l, spin, mapping, n))
-                    emitted = True
-        if emitted:
-            swap_depth += 1
+    up, down = (_swap_layers(targets[spin], spin, mapping) for spin in (UP, DOWN))
+    for up_layer, down_layer in zip_longest(up, down, fillvalue=()):
+        gates += up_layer
+        gates += down_layer
+    swap_depth = max(len(up), len(down))
 
-    m_up, m_down = (sum(not op.is_number for op in clique.ops_for_spin(s)) for s in (UP, DOWN))
-    gates.extend(diag_layer(m_up, m_down, mapping, n))
+    m_up, m_down = pairs[UP], pairs[DOWN]
+    gates += _rotation_layer(m_up, m_down, mapping, n)
     rotation_depth = 0
     if m_up + m_down:
         rotation_depth = 2 if mapping == "jw" else 1
@@ -322,38 +352,36 @@ def _schedule_chunks(schedule: Schedule) -> Iterator[str]:
     """The schedule's JSON text, one clique record at a time.
 
     The text is ``json.dumps`` of the whole document with sorted keys and
-    ``(",", ":")`` separators, plus a newline.  Each distinct gate is encoded
-    once, and each gate name's matrix once.
+    ``(",", ":")`` separators, plus a newline.  Each gate object is encoded
+    once (emission shares one object per distinct gate), each gate name's
+    matrix once, and each operator and decode table once.
     """
-    matrices: dict[str, str] = {}
-    gate_texts: dict[tuple[str, tuple[int, ...]], str] = {}
+    # each cache lives for one call
+    matrix_text = cache(lambda name: _dumps(_matrix_to_pairs(GATE_MATRICES[name])))
 
-    def gate_text(gate: Gate) -> str:
-        key = (gate.name, gate.qubits)
-        if key not in gate_texts:
-            members = {"name": _dumps(gate.name), "qubits": _dumps(gate.qubits)}
-            if gate.name in _SERIALIZED_MATRICES:
-                if gate.name not in matrices:
-                    matrices[gate.name] = _dumps(_matrix_to_pairs(gate.resolved_matrix()))
-                members["matrix"] = matrices[gate.name]
-            gate_texts[key] = _object(members)
-        return gate_texts[key]
+    def encode_gate(gate: Gate) -> str:
+        members = {"name": _dumps(gate.name), "qubits": _dumps(gate.qubits)}
+        if gate.name in _SERIALIZED_MATRICES:
+            members["matrix"] = matrix_text(gate.name)
+        return _object(members)
+
+    gate_text = cache(encode_gate)  # a Gate hashes by identity
+    op_text = cache(lambda op: _dumps(_op_to_list(op)))
+    # a decode record's members after "op", in sorted key order
+    table_text = cache(lambda t: f'"qubits":{_dumps(t.qubits)},"values":{_dumps(t.values)}')
 
     # "cliques" sorts before every other top-level key
     yield '{"cliques":['
     for i, (mc, circ) in enumerate(zip(schedule.universe.cliques, schedule.circuits)):
-        decode = [
-            {"op": _op_to_list(op), "qubits": circ.decode[op].qubits,
-             "values": circ.decode[op].values}
-            for op in mc.ops
-        ]
+        decode = ",".join([f'{{"op":{op_text(op)},{table_text(circ.decode[op])}}}'
+                           for op in mc.ops])
         record = _object({
             "id": _dumps(mc.id),
             "family": _dumps(mc.family),
             "source": _dumps(mc.source),
-            "ops": _dumps([_op_to_list(op) for op in mc.ops]),
-            "gates": "[" + ",".join(gate_text(g) for g in circ.gates) + "]",
-            "decode": _dumps(decode),
+            "ops": "[" + ",".join(map(op_text, mc.ops)) + "]",
+            "gates": "[" + ",".join(map(gate_text, circ.gates)) + "]",
+            "decode": "[" + decode + "]",
             "depth": _dumps(circ.depth),
             "permutation": _dumps({"up": circ.permutations[UP],
                                    "down": circ.permutations[DOWN]}),

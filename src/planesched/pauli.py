@@ -62,23 +62,28 @@ def operator_paulis(op: HoppingOp, mapping: str, n: int) -> PauliForm:
 
 def _image_table(name: str, matrix: np.ndarray) -> dict:
     """Local (x, z) -> (x', z', sign) with U P U^dag = sign * P'.  Local bit i
-    is the i-th listed gate qubit, the most significant bit of the matrix index."""
+    is the i-th listed gate qubit, the most significant bit of the matrix index.
+
+    All 4^k strings are conjugated at once, and the Pauli coefficients of
+    every image come from one batched trace.
+    """
     k = matrix.shape[0].bit_length() - 1
     strings = list(product(range(1 << k), repeat=2))
-    basis = {
-        (x, z): reduce(np.kron, [_SINGLE[(x >> i) & 1, (z >> i) & 1] for i in range(k)])
-        for x, z in strings
-    }
+    basis = np.ones((len(strings), 1, 1))
+    for i in range(k):
+        local = np.array([_SINGLE[(x >> i) & 1, (z >> i) & 1] for x, z in strings])
+        basis = np.einsum("sab,scd->sacbd", basis, local).reshape(len(strings), 2 << i, 2 << i)
+    images = matrix @ basis @ matrix.conj().T
+    # coefficient of string t in image s: trace(P_t image_s) / 2^k
+    coefficients = np.einsum("tab,sba->st", basis, images).real / (1 << k)
+    best = np.abs(coefficients).argmax(axis=1)
+    signs = np.rint(coefficients[np.arange(len(strings)), best])
+    misses = np.abs(images - signs[:, None, None] * basis[best]).max(axis=(1, 2))
     table = {}
-    for s in strings:
-        image = matrix @ basis[s] @ matrix.conj().T
-        for t in strings:
-            sign = round(np.trace(basis[t] @ image).real / (1 << k))
-            if sign and np.max(np.abs(image - sign * basis[t])) < _MATRIX_TOL:
-                table[s] = (*t, sign)
-                break
-        else:
+    for s, t, sign, miss in zip(strings, best, signs, misses):
+        if not sign or miss >= _MATRIX_TOL:
             raise ValueError(f"gate {name} is not Clifford: {s} maps to no signed Pauli string")
+        table[s] = (*strings[t], int(sign))
     return table
 
 

@@ -64,37 +64,39 @@ def position_vector(ops: Iterable[HoppingOp], n: int) -> list[int]:
     return pos
 
 
-def _key(value: int) -> int:
-    # UNUSED compares above every real rank
-    return value if value != UNUSED else 1 << 30
-
-
 def odd_even_sort(p: Sequence[int]) -> SwapNetwork:
     """Sorting network for a position vector, odd compares first.
 
     Returns only the non-empty layers plus the realized mode permutation;
     after at most len(p) passes the vector is sorted with all -1 at the end.
+    Two passes in a row without a swap have compared every adjacent pair, so
+    the sort stops there.
     """
     n = len(p)
-    work = list(p)
-    slot_of = list(range(n))  # mode -> current slot
+    last = max(p, default=UNUSED) + 1  # UNUSED sorts after every real position
+    work = [v if v != UNUSED else last for v in p]
     mode_at = list(range(n))  # slot -> mode
     layers: list[SwapLayer] = []
+    quiet = 0  # passes in a row without a swap
     for pass_idx in range(n):
-        parity = "odd" if pass_idx % 2 == 0 else "even"
-        start = 1 if parity == "odd" else 0
+        start = 1 - pass_idx % 2  # odd compares on even passes
         swaps: list[int] = []
         for l in range(start, n - 1, 2):
-            if _key(work[l]) > _key(work[l + 1]):
+            if work[l] > work[l + 1]:
                 work[l], work[l + 1] = work[l + 1], work[l]
-                ma, mb = mode_at[l], mode_at[l + 1]
-                mode_at[l], mode_at[l + 1] = mb, ma
-                slot_of[ma], slot_of[mb] = l + 1, l
+                mode_at[l], mode_at[l + 1] = mode_at[l + 1], mode_at[l]
                 swaps.append(l)
         if swaps:
-            layers.append(SwapLayer(parity, tuple(swaps)))
-        if all(_key(work[i]) <= _key(work[i + 1]) for i in range(n - 1)):
-            break
-    if any(_key(work[i]) > _key(work[i + 1]) for i in range(n - 1)):
-        raise RuntimeError(f"odd-even sort left {work} unsorted after {n} passes")
+            layers.append(SwapLayer("odd" if start else "even", tuple(swaps)))
+            quiet = 0
+        else:
+            quiet += 1
+            if quiet == 2:
+                break
+    else:
+        if any(work[i] > work[i + 1] for i in range(n - 1)):
+            raise RuntimeError(f"odd-even sort left {list(p)} unsorted after {n} passes")
+    slot_of = [0] * n  # mode -> final slot
+    for slot, mode in enumerate(mode_at):
+        slot_of[mode] = slot
     return SwapNetwork(n, tuple(layers), tuple(slot_of))

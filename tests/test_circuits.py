@@ -221,6 +221,8 @@ SCHEDULE_SHA256 = {
     (7, "parity"): "b6eeeb273f8b333628d014c624f153c94cf25e7c3511a43d57cd77ea595aea14",
     (10, "jw"): "be00e34b049b8c89925512c62915177ead956be36bb7aafaa715751b457a8bf1",
     (10, "parity"): "7889144a0049c70a6883d7dcae83c15e1365743614c6a50e67fe191ca851bec2",
+    (18, "jw"): "b0ec52a434b42558161768e4d93243cffec9a9e70b692c57c3e622e3d5d35c01",
+    (18, "parity"): "e0bcff73b51dbcc4fdd2baa7487a9fe85bb5865596fc838cc593901de0a04d29",
 }
 
 
@@ -228,6 +230,24 @@ SCHEDULE_SHA256 = {
 def test_schedule_bytes_are_pinned(n, mapping):
     text = schedule_json(emit_schedule(build_universe(n), mapping))
     assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_SHA256[n, mapping]
+
+
+def test_shared_emission_caches_keep_each_schedule_pinned():
+    # networks, gates and rotation layers are shared between cliques and
+    # between calls; interleaved sizes and mappings must not leak into each other
+    for n, mapping in ((6, "parity"), (7, "jw"), (6, "jw"), (10, "parity"), (7, "parity")):
+        schedule = emit_schedule(build_universe(n), mapping)
+        text = schedule_json(schedule)
+        assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_SHA256[n, mapping]
+        assert all(type(circ.gates) is tuple for circ in schedule.circuits)
+    layer = diag_layer(2, 1, "jw", 4)
+    layer.clear()
+    assert diag_layer(2, 1, "jw", 4) != []
+    assert diag_layer(0, 0, "jw", 4) == []
+    assert type(diag_layer(0, 0, "jw", 4)) is list
+    # one object per distinct gate
+    assert map_fswap(2, DOWN, "parity", 6) is map_fswap(2, DOWN, "parity", 6)
+    assert diag_layer(1, 0, "jw", 4)[1] is diag_layer(1, 1, "jw", 4)[2]
 
 
 def test_written_file_equals_schedule_json(tmp_path):

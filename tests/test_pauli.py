@@ -2,6 +2,8 @@
 
 import dataclasses
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -65,6 +67,36 @@ def test_non_clifford_gate_rejected():
     )
     with pytest.raises(ValueError, match="not Clifford"):
         pauli.conjugate(pauli.operator_paulis(HoppingOp(0, 1, UP), "jw", 2), [t_gate])
+
+
+def reference_image_table(name, matrix):
+    """The first implementation: one conjugation per string and one trace
+    per candidate image string, in Python loops."""
+    k = matrix.shape[0].bit_length() - 1
+    strings = list(product(range(1 << k), repeat=2))
+    basis = {
+        (x, z): reduce(np.kron, [_SINGLE[(x >> i) & 1, (z >> i) & 1] for i in range(k)])
+        for x, z in strings
+    }
+    table = {}
+    for s in strings:
+        image = matrix @ basis[s] @ matrix.conj().T
+        for t in strings:
+            sign = round(np.trace(basis[t] @ image).real / (1 << k))
+            if sign and np.max(np.abs(image - sign * basis[t])) < 1e-9:
+                table[s] = (*t, sign)
+                break
+        else:
+            raise ValueError(f"gate {name} is not Clifford")
+    return table
+
+
+@pytest.mark.parametrize("name", sorted(circuits.GATE_MATRICES))
+def test_image_table_matches_reference(name):
+    matrix = circuits.GATE_MATRICES[name]
+    table = pauli._image_table(name, matrix)
+    assert table == reference_image_table(name, matrix)
+    assert all(type(v) is int for image in table.values() for v in image)
 
 
 def test_gate_name_fixes_its_matrix_and_arity():

@@ -1,10 +1,11 @@
 """Position vectors and odd-even sorting networks."""
 
+import itertools
 import random
 
 import pytest
 
-from planesched.swapnet import UNUSED, odd_even_sort, position_vector
+from planesched.swapnet import UNUSED, SwapLayer, SwapNetwork, odd_even_sort, position_vector
 from planesched.universe import DOWN, UP, HoppingOp, build_universe
 
 
@@ -112,3 +113,49 @@ def test_all_cliques_sort_within_block_depth():
                     assert net.permutation[op.q] == 2 * m + 1
                 for j, op in enumerate(nums):
                     assert net.permutation[op.p] == 2 * len(hops) + j
+
+
+def reference_odd_even_sort(p):
+    """The first implementation: a key call per compare and a full sortedness
+    scan after every pass."""
+
+    def key(value):
+        return value if value != UNUSED else 1 << 30
+
+    n = len(p)
+    work = list(p)
+    slot_of = list(range(n))
+    mode_at = list(range(n))
+    layers = []
+    for pass_idx in range(n):
+        parity = "odd" if pass_idx % 2 == 0 else "even"
+        start = 1 if parity == "odd" else 0
+        swaps = []
+        for l in range(start, n - 1, 2):
+            if key(work[l]) > key(work[l + 1]):
+                work[l], work[l + 1] = work[l + 1], work[l]
+                ma, mb = mode_at[l], mode_at[l + 1]
+                mode_at[l], mode_at[l + 1] = mb, ma
+                slot_of[ma], slot_of[mb] = l + 1, l
+                swaps.append(l)
+        if swaps:
+            layers.append(SwapLayer(parity, tuple(swaps)))
+        if all(key(work[i]) <= key(work[i + 1]) for i in range(n - 1)):
+            break
+    return SwapNetwork(n, tuple(layers), tuple(slot_of))
+
+
+def test_sort_matches_reference_on_every_small_permutation():
+    for n in range(8):
+        for p in itertools.permutations(range(n)):
+            assert odd_even_sort(p) == reference_odd_even_sort(p), p
+
+
+def test_sort_matches_reference_on_random_vectors_with_unused():
+    rng = random.Random(11)
+    for n in range(1, 33):
+        for _ in range(40):
+            ranks = list(range(rng.randint(0, n)))
+            p = ranks + [UNUSED] * (n - len(ranks))
+            rng.shuffle(p)
+            assert odd_even_sort(p) == reference_odd_even_sort(p), p
