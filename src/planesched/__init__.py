@@ -10,7 +10,7 @@ from .circuits import Schedule, emit, emit_schedule, schedule_json, write_schedu
 from .cover import build_cover, check_no_three_collinear, check_unique_tangent, place_s_points
 from .gf import Prime, smallest_prime_at_least
 from .graphcheck import build_graph, lower_bound, verify_cover
-from .plane import Plane, build_plane
+from .plane import build_plane
 from .roundrobin import build_rounds
 from .sim import ExpectationReport, estimate_all
 from .universe import (
@@ -32,7 +32,6 @@ __all__ = [
     "Hamiltonian",
     "HoppingOp",
     "MeasurementClique",
-    "Plane",
     "Prime",
     "Schedule",
     "Universe",

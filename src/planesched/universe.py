@@ -269,12 +269,18 @@ def load_hamiltonian(path: str) -> Hamiltonian:
     """Read the JSON form: {n_orbitals, e_nuc, h, g} with nested row-major lists."""
     with open(path) as f:
         data = json.load(f)
-    return Hamiltonian(
-        n_orbitals=int(data["n_orbitals"]),
-        e_nuc=float(data["e_nuc"]),
-        h=np.asarray(data["h"], dtype=float),
-        g=np.asarray(data["g"], dtype=float),
-    )
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    n, e_nuc = data["n_orbitals"], data["e_nuc"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n_orbitals must be an integer, got {n!r}")
+    if isinstance(e_nuc, bool) or not isinstance(e_nuc, (int, float)):
+        raise ValueError(f"e_nuc must be a real number, got {e_nuc!r}")
+    try:
+        h, g = (np.asarray(data[key], dtype=float) for key in ("h", "g"))
+    except TypeError as exc:
+        raise ValueError(f"h and g must be nested lists of numbers: {exc}") from None
+    return Hamiltonian(n_orbitals=n, e_nuc=float(e_nuc), h=h, g=g)
 
 
 _G_SYMMETRY_AXES = [

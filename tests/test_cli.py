@@ -239,6 +239,51 @@ def test_grid_flag(capsys):
     assert "alpha: S" in out
 
 
+GRID_PINS = {  # orbitals -> (plane order, grid)
+    2: (2, """\
+y=1 . S
+y=0 S .
+    0 1
+alpha: S
+"""),
+    6: (5, """\
+y=4 . . S S .
+y=3 . . . . .
+y=2 . . . . .
+y=1 . S . . S
+y=0 S . . . .
+    0 1 2 3 4
+alpha: S
+"""),
+    10: (11, """\
+y=10 . . . . . . . . . . .
+y=9 . . . S . . . . S . .
+y=8 . . . . . . . . . . .
+y=7 . . . . . . . . . . .
+y=6 . . . . . . . . . . .
+y=5 . . . . S . . S . . .
+y=4 . . S . . . . . . S .
+y=3 . . . . . S S . . . .
+y=2 . . . . . . . . . . .
+y=1 . S . . . . . . . . S
+y=0 S . . . . . . . . . .
+    0 1 2 3 4 5 6 7 8 9 10
+alpha: S
+"""),
+}
+
+
+@pytest.mark.parametrize("n", sorted(GRID_PINS))
+def test_grid_output_is_pinned(capsys, n):
+    """At N=10 the plane order, 11, exceeds N-1."""
+    order, grid = GRID_PINS[n]
+    code, out = run(capsys, "stats", "--orbitals", str(n), "--grid")
+    assert code == 0
+    stats_part, grid_part = out.split("label_grid:\n")
+    assert f"plane_order: {order}\n" in stats_part
+    assert grid_part == grid
+
+
 def assert_one_line_error(capsys) -> None:
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -280,6 +325,18 @@ def test_estimate_bad_inputs_are_one_line_errors(tmp_path, capsys):
     assert err.value.code == 2
     err_text = capsys.readouterr().err
     assert "Traceback" not in err_text and "error: --shots" in err_text
+
+
+@pytest.mark.parametrize("malformed", [
+    "list", {"e_nuc": None}, {"n_orbitals": [2]}, {"n_orbitals": 2.5}, {"h": {}},
+])
+def test_estimate_rejects_malformed_hamiltonian(tmp_path, capsys, malformed):
+    data = random_hamiltonian(2, seed=4).to_dict()
+    data = [data] if malformed == "list" else {**data, **malformed}
+    path = tmp_path / "ham.json"
+    path.write_text(json.dumps(data))
+    assert main(["estimate", "--hamiltonian", str(path)]) == 1
+    assert_one_line_error(capsys)
 
 
 def test_estimate_rejects_negative_seed(tmp_path, capsys):

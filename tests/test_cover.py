@@ -1,26 +1,25 @@
 """Label placement, tangents, and anchor-group extraction, against line-scan oracles."""
 
+import hashlib
+
 import pytest
 
+from planesched import cover
 from planesched.cover import (
     build_cover,
-    build_cover_with_stats,
     check_no_three_collinear,
     check_unique_tangent,
     place_s_points,
-    s_indices_on_line,
     tangent_line,
     vertex_line,
 )
 from planesched.plane import (
-    ALPHA,
-    GAMMA,
-    Line,
     alpha_point,
     build_plane,
     gamma_point,
-    line_contains,
-    line_points,
+    incident,
+    normalize,
+    point_code,
 )
 
 PRIMES_TO_47 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -32,14 +31,14 @@ def brute_force_groups(pi: int, n: int) -> dict:
     s = place_s_points(pi)
     s_set = set(s)
     groups = {}
-    for anchor in plane.points:
+    for anchor in plane:
         if anchor in s_set:
             continue
         members = []
-        for line in plane.lines:
-            if not line_contains(line, anchor, pi):
+        for line in plane:
+            if not incident(anchor, line, pi):
                 continue
-            hits = [k for k, pt in enumerate(s) if line_contains(line, pt, pi)]
+            hits = [k for k, pt in enumerate(s) if incident(pt, line, pi)]
             if len(hits) == 2 and hits[1] < n:
                 members.append((hits[0], hits[1]))
             elif len(hits) == 1 and hits[0] < n:
@@ -65,25 +64,20 @@ def test_placement_reference_coordinates():
 def test_vertex_line_secant_with_scan_oracle():
     s = place_s_points(5)
     line = vertex_line((0, 2), s)
-    assert line == Line(GAMMA, i=2, j=0)
-    plane = build_plane(5)
-    scan = [
-        l
-        for l in plane.lines
-        if line_contains(l, s[0], 5) and line_contains(l, s[2], 5)
-    ]
+    assert line == normalize((0, 2, -1), 5)  # y = 2x
+    scan = [l for l in build_plane(5) if incident(s[0], l, 5) and incident(s[2], l, 5)]
     assert scan == [line]
 
 
 def test_vertex_line_tangents():
     s = place_s_points(5)
-    assert vertex_line((5, 5), s) == Line(ALPHA)
-    assert vertex_line((1, 1), s) == Line(GAMMA, i=2, j=4)
+    assert vertex_line((5, 5), s) == (1, 0, 0)  # the line at infinity, z = 0
+    assert vertex_line((1, 1), s) == normalize((4, 2, -1), 5)  # y = 2x + 4
     # oracle: a tangent meets the label set exactly once
     for k in range(6):
         line = vertex_line((k, k), s)
-        assert sum(line_contains(line, pt, 5) for pt in s) == 1
-        assert line_contains(line, s[k], 5)
+        assert sum(incident(pt, line, 5) for pt in s) == 1
+        assert incident(s[k], line, 5)
 
 
 def test_reference_anchor_group_order_five():
@@ -106,7 +100,8 @@ def test_cover_counts_and_flags():
 
 
 def test_cover_matches_scan_oracle():
-    for pi, n in [(2, 3), (3, 4), (5, 6), (7, 8), (5, 5), (7, 6), (2, 2)]:
+    for pi, n in [(2, 3), (3, 4), (5, 6), (7, 8), (5, 5), (7, 6), (2, 2),
+                  (11, 10), (11, 12), (13, 14)]:
         oracle = brute_force_groups(pi, n)
         for clique in build_cover(pi, n):
             assert clique.members == oracle[clique.anchor]
@@ -140,29 +135,13 @@ def test_tangent_closed_form_matches_scan():
     for pi in (2, 3, 5, 7, 11):
         plane = build_plane(pi)
         s = place_s_points(pi)
-        s_set = set(s)
         for k in range(pi + 1):
             scan = [
                 l
-                for l in plane.lines_through(s[k])
-                if sum(pt in s_set for pt in line_points(l, pi)) == 1
+                for l in plane
+                if incident(s[k], l, pi) and sum(incident(pt, l, pi) for pt in s) == 1
             ]
-            assert scan == [tangent_line(k, pi)]
-
-
-def test_s_indices_on_line_matches_scan():
-    for pi in (2, 3, 5, 7):
-        plane = build_plane(pi)
-        s = place_s_points(pi)
-        for line in plane.lines:
-            hits = tuple(k for k, pt in enumerate(s) if line_contains(line, pt, pi))
-            got = s_indices_on_line(line, pi)
-            if len(hits) == 2:
-                assert got == hits
-            elif len(hits) == 1:
-                assert got == (hits[0], hits[0])
-            else:
-                assert got == ()
+            assert scan == [tangent_line(s[k], pi)]
 
 
 def test_no_three_collinear_all_small_primes():
@@ -175,18 +154,36 @@ def test_unique_tangent_all_small_primes():
         assert check_unique_tangent(pi)
 
 
-def test_construction_cost_scales_cubically():
-    counts = {}
-    for n in (4, 6, 8, 12, 14):
-        _, stats = build_cover_with_stats(n - 1, n)
-        counts[n] = stats["lines_inspected"]
-    for n, count in counts.items():
-        assert count <= n**3
-        assert count >= 0.3 * n**3
-
-
 def test_bad_truncation_rejected():
     with pytest.raises(ValueError):
         build_cover(5, 8)
     with pytest.raises(ValueError):
         build_cover(5, 1)
+
+
+def test_lemma_scans_reject_a_label_off_the_conic(monkeypatch):
+    s = place_s_points(5)
+    # (2, 2) lies on y = x together with S(0) and S(1)
+    monkeypatch.setattr(cover, "place_s_points", lambda pi: s[:2] + [gamma_point(2, 2)] + s[3:])
+    assert not check_no_three_collinear(5)
+    assert not check_unique_tangent(5)
+
+
+# sha256 of repr([(point_code(anchor), members, flagged), ...]), recorded from
+# the string-tagged implementation this one replaced
+COVER_DIGESTS = {
+    (2, 2): "deddd037389cbc8b232aee520a7c08731cdfa9ff8048d19c6f12008807f922a9",
+    (2, 3): "0bf76152b68aec8397bfd4b2cf920911d7229ca030d14c61138e69c80d4f159c",
+    (11, 10): "b6f19a09ae652f49efd2975543012885f459a4ded5efc0e403947b6f32a33e5e",
+    (13, 14): "3cd194b82b3c82637b07a2ffcd7d4063526630baf9b13b99d76846b4cd67bb43",
+    (17, 18): "561affc74c31741a699cd7b3b06f0a20acda7fe6f98dc141a756e8ea025b2912",
+    (31, 32): "25dfa9eb15f4f45e7446739c9da562960528394e431ae449a63b08d4bab7af81",
+    (47, 40): "6d1ad414db3e6cd4f526b89e78bb57cd3333216f63d651593f58ffa28c25c14c",
+    (47, 48): "49b376482da48a5b9fdd070abcafa67465cf44387e935c3445e23467dc4ee58c",
+}
+
+
+@pytest.mark.parametrize("pi, n", sorted(COVER_DIGESTS))
+def test_cover_digest_is_pinned(pi, n):
+    rows = [(point_code(c.anchor, pi), c.members, c.flagged) for c in build_cover(pi, n)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == COVER_DIGESTS[(pi, n)]

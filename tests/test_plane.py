@@ -3,39 +3,44 @@
 import pytest
 
 from planesched.plane import (
-    ALPHA,
-    BETA,
-    GAMMA,
     DegenerateInputError,
-    Line,
     alpha_point,
     beta_point,
     build_plane,
     gamma_point,
-    line_code,
-    line_contains,
-    line_points,
+    incident,
+    join,
+    normalize,
+    pencil,
     point_code,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
+INFINITY = (1, 0, 0)  # the line z = 0: alpha and every beta point
+
+
+def slope_line(m: int, c: int, p: int) -> tuple:
+    """The line y = m*x + c: its affine points (1, x, y) satisfy c + m*x - y = 0."""
+    return normalize((c, m, -1), p)
+
+
+def column_line(i: int, p: int) -> tuple:
+    """The line x = i, which passes through alpha."""
+    return normalize((-i, 1, 0), p)
 
 
 def test_plane_counts():
     plane5 = build_plane(5)
-    assert len(plane5.points) == 31
-    assert len(plane5.lines) == 31
-    assert all(len(line_points(l, 5)) == 6 for l in plane5.lines)
-    plane2 = build_plane(2)
-    assert len(plane2.points) == 7
-    assert len(plane2.lines) == 7
+    assert len(plane5) == 31
+    assert all(len(pencil(l, 5)) == 6 for l in plane5)
+    assert len(build_plane(2)) == 7
     with pytest.raises(ValueError):
         build_plane(6)
 
 
 def test_slope_two_line_membership():
     # y = 2x + 0 over GF(5) passes x = 4 at y = (2*4) % 5 = 3
-    pts = line_points(Line(GAMMA, i=2, j=0), 5)
+    pts = pencil(slope_line(2, 0, 5), 5)
     assert beta_point(2) in pts
     assert gamma_point(4, 3) in pts
 
@@ -43,84 +48,75 @@ def test_slope_two_line_membership():
 def test_line_through_examples_with_scan_oracle():
     plane = build_plane(5)
     a, b = gamma_point(0, 0), gamma_point(2, 4)
-    scan = [
-        l
-        for l in plane.lines
-        if line_contains(l, a, 5) and line_contains(l, b, 5)
-    ]
-    assert scan == [Line(GAMMA, i=2, j=0)]
-    assert plane.line_through(a, b) == scan[0]
-    assert plane.line_through(alpha_point(), beta_point(3)) == Line(ALPHA)
-    assert plane.line_through(alpha_point(), gamma_point(2, 4)) == Line(BETA, i=2)
-    assert plane.line_through(beta_point(1), beta_point(4)) == Line(ALPHA)
+    scan = [l for l in plane if incident(a, l, 5) and incident(b, l, 5)]
+    assert scan == [slope_line(2, 0, 5)]
+    assert join(a, b, 5) == scan[0]
+    assert join(alpha_point(), beta_point(3), 5) == INFINITY
+    assert join(alpha_point(), gamma_point(2, 4), 5) == column_line(2, 5)
+    assert join(beta_point(1), beta_point(4), 5) == INFINITY
 
 
 def test_intersection_examples():
-    plane = build_plane(5)
-    assert plane.intersection(Line(BETA, i=1), Line(BETA, i=3)) == alpha_point()
+    assert join(column_line(1, 5), column_line(3, 5), 5) == alpha_point()
     # meet of slopes 2 and 4: 2x = 4x + 2 mod 5 gives x = 4, y = 3
-    assert plane.intersection(Line(GAMMA, i=2, j=0), Line(GAMMA, i=4, j=2)) == gamma_point(4, 3)
-    assert plane.intersection(Line(ALPHA), Line(GAMMA, i=3, j=1)) == beta_point(3)
+    assert join(slope_line(2, 0, 5), slope_line(4, 2, 5), 5) == gamma_point(4, 3)
+    assert join(INFINITY, slope_line(3, 1, 5), 5) == beta_point(3)
 
 
 def test_degenerate_inputs_raise():
-    plane = build_plane(3)
     with pytest.raises(DegenerateInputError):
-        plane.line_through(beta_point(1), beta_point(1))
+        join(beta_point(1), beta_point(1), 3)
     with pytest.raises(DegenerateInputError):
-        plane.intersection(Line(ALPHA), Line(ALPHA))
+        join(INFINITY, INFINITY, 3)
 
 
 def test_every_point_pair_on_exactly_one_line():
     for p in SMALL_PRIMES:
         plane = build_plane(p)
-        for i, a in enumerate(plane.points):
-            lines_a = plane.lines_through(a)
-            for b in plane.points[i + 1 :]:
-                joining = [l for l in lines_a if line_contains(l, b, p)]
+        for i, a in enumerate(plane):
+            lines_a = pencil(a, p)
+            for b in plane[i + 1 :]:
+                joining = [l for l in lines_a if incident(b, l, p)]
                 assert len(joining) == 1
-                assert plane.line_through(a, b) == joining[0]
+                assert join(a, b, p) == joining[0]
 
 
 def test_every_line_pair_meets_in_exactly_one_point():
     for p in SMALL_PRIMES:
         plane = build_plane(p)
-        for i, l1 in enumerate(plane.lines):
-            pts1 = line_points(l1, p)
-            for l2 in plane.lines[i + 1 :]:
-                common = [pt for pt in pts1 if line_contains(l2, pt, p)]
+        for i, l1 in enumerate(plane):
+            pts1 = pencil(l1, p)
+            for l2 in plane[i + 1 :]:
+                common = [pt for pt in pts1 if incident(pt, l2, p)]
                 assert len(common) == 1
-                assert plane.intersection(l1, l2) == common[0]
+                assert join(l1, l2, p) == common[0]
 
 
 def test_every_point_on_exactly_order_plus_one_lines():
     for p in SMALL_PRIMES:
-        plane = build_plane(p)
-        for pt in plane.points:
-            through = plane.lines_through(pt)
-            assert len(through) == p + 1
-            assert all(line_contains(l, pt, p) for l in through)
+        for pt in build_plane(p):
+            through = pencil(pt, p)
+            assert len(set(through)) == p + 1
+            assert all(incident(pt, l, p) for l in through)
     # full-scan cross-check at the smallest orders
     for p in (2, 3, 5):
         plane = build_plane(p)
-        for pt in plane.points:
-            scan = [l for l in plane.lines if line_contains(l, pt, p)]
-            assert sorted(scan) == sorted(plane.lines_through(pt))
+        for pt in plane:
+            scan = [l for l in plane if incident(pt, l, p)]
+            assert scan == pencil(pt, p)
 
 
 def test_canonical_codes_are_bijective():
     for p in (2, 5, 7):
-        plane = build_plane(p)
-        codes = [point_code(pt, p) for pt in plane.points]
-        assert sorted(codes) == list(range(p * p + p + 1))
-        codes = [line_code(l, p) for l in plane.lines]
-        assert sorted(codes) == list(range(p * p + p + 1))
+        codes = [point_code(pt, p) for pt in build_plane(p)]
+        # tuple order is code order
+        assert codes == list(range(p * p + p + 1))
 
 
-def test_line_points_consistent_with_contains():
+def test_pencil_consistent_with_incidence():
     for p in (2, 3, 5):
         plane = build_plane(p)
-        for l in plane.lines:
-            pts = set(line_points(l, p))
-            for pt in plane.points:
-                assert (pt in pts) == line_contains(l, pt, p)
+        for l in plane:
+            pts = set(pencil(l, p))
+            for pt in plane:
+                assert (pt in pts) == incident(pt, l, p)
