@@ -24,8 +24,13 @@ through the rotation layer (``pauli.conjugate``) and must come out diagonal
 on the operator's own support.  That table depends only on the sorted
 operator and the rotation layer, so each distinct one is computed once.
 Hopping operators decode to {-1, 0, +1}, number operators to {0, 1}.
-``conjugation_problems`` checks the same thing, uncached, for each
-operator's full form through its whole circuit.
+
+One decode path turns a conjugated form into a table, for emission and the
+tripwire alike.  It is a pure function of the form, the support and whether
+the operator is a number operator, so it is cached on those and each
+distinct conjugated form is decoded once.  ``conjugation_problems``
+conjugates each operator's full form through its whole circuit, uncached,
+and compares the decode with that circuit's own table.
 
 Cliques repeat work: a spin block's network depends only on its position
 vector, which many cliques share.  Emission therefore sorts each distinct
@@ -199,19 +204,30 @@ def _swap_layers(
     return tuple(tuple([fswaps[l] for l in layer.swaps]) for layer in _network(target).layers)
 
 
+@cache
+def _decode(form: frozenset, support: tuple[int, ...], is_number: bool) -> DecodeTable | str:
+    """Decode table of a conjugated form that must be diagonal on ``support``,
+    or why it has none.  Nothing else enters it, so each distinct conjugated
+    form is decoded once."""
+    paulis = dict(form)
+    if not pauli.is_diagonal(paulis):
+        return "conjugated operator is not diagonal"
+    if not set(pauli.support(paulis)) <= set(support):
+        return f"conjugated operator acts outside {support}"
+    values = pauli.diagonal_values(paulis, support)  # in halves
+    if not set(values) <= ({0, 2} if is_number else {-2, 0, 2}):
+        return f"eigenvalues {[v / 2 for v in sorted(set(values))]}"
+    return DecodeTable(support, tuple(v // 2 for v in values))
+
+
 def _decode_from_diagonal(
     support: tuple[int, ...], paulis: pauli.PauliForm, is_number: bool, what: str
 ) -> DecodeTable:
     """Decode table of a conjugated operator that must be diagonal on ``support``."""
-    if not pauli.is_diagonal(paulis):
-        raise DiagonalizationError(f"{what}: conjugated operator is not diagonal")
-    if not set(pauli.support(paulis)) <= set(support):
-        raise DiagonalizationError(f"{what}: conjugated operator acts outside {support}")
-    values = pauli.diagonal_values(paulis, support)
-    allowed = {0, 1} if is_number else {-1, 0, 1}
-    if not set(values) <= allowed:
-        raise DiagonalizationError(f"{what}: eigenvalues {sorted(set(values))}")
-    return DecodeTable(support, tuple(int(v) for v in values))
+    decoded = _decode(frozenset(paulis.items()), support, is_number)
+    if isinstance(decoded, str):
+        raise DiagonalizationError(f"{what}: {decoded}")
+    return decoded
 
 
 @cache

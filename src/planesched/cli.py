@@ -61,7 +61,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         from .plane import ascii_grid
 
         print("label_grid:")
-        print(ascii_grid(pi, cover_mod.place_s_points(pi)))
+        # only labels 0..N-1 are placed; the conic has p+1 points
+        print(ascii_grid(pi, cover_mod.place_s_points(pi)[:args.orbitals]))
     return 0
 
 

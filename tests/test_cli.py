@@ -239,12 +239,12 @@ def test_grid_flag(capsys):
     assert "alpha: S" in out
 
 
-GRID_PINS = {  # orbitals -> (plane order, grid)
+GRID_PINS = {  # orbitals -> (plane order, grid); only labels 0..N-1 are marked
     2: (2, """\
 y=1 . S
 y=0 S .
     0 1
-alpha: S
+alpha: .
 """),
     6: (5, """\
 y=4 . . S S .
@@ -265,10 +265,10 @@ y=5 . . . . S . . S . . .
 y=4 . . S . . . . . . S .
 y=3 . . . . . S S . . . .
 y=2 . . . . . . . . . . .
-y=1 . S . . . . . . . . S
+y=1 . S . . . . . . . . .
 y=0 S . . . . . . . . . .
     0 1 2 3 4 5 6 7 8 9 10
-alpha: S
+alpha: .
 """),
 }
 
@@ -368,7 +368,8 @@ def test_estimate_rejects_zero_or_non_finite_amplitudes(tmp_path, capsys):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    """The CLI's commands use numpy only; scipy loads when the dense oracle runs."""
+    """The CLI's commands use numpy only; scipy loads when the dense oracle
+    runs.  Pauli coefficients are integers, so ``fractions`` never loads."""
     ham_path = tmp_path / "ham.json"
     random_hamiltonian(2, seed=4).save(str(ham_path))
     script = f"""
@@ -376,6 +377,7 @@ import contextlib, io, sys
 import planesched.cli as cli
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded(), loaded()
+assert "fractions" not in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["schedule", "--orbitals", "3", "--out", {str(tmp_path / "s.json")!r}],
                  ["verify", "--orbitals", "3"],
@@ -383,6 +385,7 @@ with contextlib.redirect_stdout(io.StringIO()):
                  ["estimate", "--hamiltonian", {str(ham_path)!r}, "--shots", "10"]):
         assert cli.main(argv) == 0, argv
 assert not loaded(), loaded()
+assert "fractions" not in sys.modules
 from planesched import sim, universe
 dense = sim.dense_hamiltonian(universe.random_hamiltonian(2, seed=4), "jw")
 assert dense.shape == (16, 16) and loaded()

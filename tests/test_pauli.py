@@ -1,17 +1,27 @@
-"""Exact Pauli propagation against the scipy full-space oracle in ``sim``."""
+"""Exact Pauli propagation against the scipy full-space oracle in ``sim``
+and against the Fraction-based kernel it replaced."""
 
 import dataclasses
+import math
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planesched import circuits, pauli, sim
 from planesched.cli import main
-from planesched.circuits import DiagonalizationError, Gate, _decode_from_diagonal, emit_schedule
+from planesched.circuits import (
+    DecodeTable,
+    DiagonalizationError,
+    Gate,
+    _decode_from_diagonal,
+    emit_schedule,
+)
 from planesched.universe import UP, HoppingOp, build_universe
 
 _SINGLE = {
@@ -23,13 +33,14 @@ _SINGLE = {
 
 
 def dense(form, n_qubits: int) -> np.ndarray:
-    """Full matrix of a Pauli form, qubit 0 the least significant index bit."""
+    """Full matrix of a Pauli form (coefficients in halves), qubit 0 the
+    least significant index bit."""
     out = np.zeros((1 << n_qubits, 1 << n_qubits), dtype=complex)
     for (x, z), c in form.items():
         term = np.eye(1)
         for q in range(n_qubits):
             term = np.kron(_SINGLE[(x >> q) & 1, (z >> q) & 1], term)
-        out += float(c) * term
+        out += c / 2 * term
     return out
 
 
@@ -94,9 +105,11 @@ def reference_image_table(name, matrix):
 @pytest.mark.parametrize("name", sorted(circuits.GATE_MATRICES))
 def test_image_table_matches_reference(name):
     matrix = circuits.GATE_MATRICES[name]
+    k = matrix.shape[0].bit_length() - 1
     table = pauli._image_table(name, matrix)
-    assert table == reference_image_table(name, matrix)
-    assert all(type(v) is int for image in table.values() for v in image)
+    reference = reference_image_table(name, matrix)
+    assert table == [reference[x, z] for x in range(1 << k) for z in range(1 << k)]
+    assert all(type(v) is int for image in table for v in image)
 
 
 def test_gate_name_fixes_its_matrix_and_arity():
@@ -114,17 +127,19 @@ def test_decode_rejects_each_failure_without_tolerance():
     with pytest.raises(DiagonalizationError, match="outside"):
         _decode_from_diagonal((0,), number, True, "number")
     with pytest.raises(DiagonalizationError, match="eigenvalues"):
-        _decode_from_diagonal((0,), {(0, 1): Fraction(1, 2)}, False, "half")
+        _decode_from_diagonal((0,), {(0, 1): 1}, False, "half")
     rotated = pauli.conjugate(hop, [Gate("CNOT", (0, 1)), Gate("H", (0,))])
     assert _decode_from_diagonal((0, 1), rotated, False, "hop").values == (0, 1, 0, -1)
     with pytest.raises(DiagonalizationError, match="eigenvalues"):
         _decode_from_diagonal((0, 1), rotated, True, "hop as number")
 
 
-def with_moved_swap(schedule, cid: int, shift: int):
-    """The schedule with clique ``cid``'s first swap gate moved by ``shift`` qubits."""
+def with_moved_swap(schedule, cid: int, shift: int, i: int | None = None):
+    """The schedule with clique ``cid``'s gate ``i`` (by default its first swap
+    gate) moved by ``shift`` qubits."""
     circ = schedule.circuits[cid]
-    i = next(i for i, g in enumerate(circ.gates) if g.name.startswith("FSWAP"))
+    if i is None:
+        i = next(i for i, g in enumerate(circ.gates) if g.name.startswith("FSWAP"))
     moved = Gate(circ.gates[i].name, tuple(q + shift for q in circ.gates[i].qubits))
     gates = circ.gates[:i] + (moved,) + circ.gates[i + 1 :]
     circs = list(schedule.circuits)
@@ -162,3 +177,121 @@ def test_moved_swap_trips_exact_tripwire_and_oracle(capsys, monkeypatch):
     assert "emission_check: pass" in out
     assert "conjugation_tripwire: fail" in out
     assert "verify_result: fail" in out
+
+
+@cache
+def cached_schedule(n: int, mapping: str):
+    return emit_schedule(build_universe(n), mapping)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_any_moved_swap_trips_exact_tripwire(data):
+    n = data.draw(st.integers(3, 8), label="n")
+    mapping = data.draw(st.sampled_from(["jw", "parity"]), label="mapping")
+    schedule = cached_schedule(n, mapping)
+    swaps = {}  # clique id -> indices of its swap gates
+    for cid, circ in enumerate(schedule.circuits):
+        found = [i for i, g in enumerate(circ.gates) if g.name.startswith("FSWAP")]
+        if found:
+            swaps[cid] = found
+    cid = data.draw(st.sampled_from(sorted(swaps)), label="clique")
+    i = data.draw(st.sampled_from(swaps[cid]), label="gate")
+    qubits = schedule.circuits[cid].gates[i].qubits
+    shift = data.draw(st.sampled_from(
+        [d for d in (-1, 1) if qubits[0] + d >= 0 and qubits[-1] + d < 2 * n]
+    ), label="shift")
+    broken, _ = with_moved_swap(schedule, cid, shift, i)
+    problems = circuits.conjugation_problems(broken)
+    assert problems and all(p.startswith(f"clique {cid} ") for p in problems)
+
+
+def test_decode_cache_cannot_hide_a_corrupt_table():
+    n, mapping = 4, "jw"
+    schedule = emit_schedule(build_universe(n), mapping)
+    assert circuits.conjugation_problems(schedule) == []  # every decode now cached
+    # two cliques whose operators conjugate to the same form on the same
+    # support decode through one cache entry
+    owner: dict = {}  # decode inputs -> the first (clique id, op) with them
+    pair = None
+    for mc, circ in zip(schedule.universe.cliques, schedule.circuits):
+        for op in mc.ops:
+            form = pauli.conjugate(pauli.operator_paulis(op, mapping, n), circ.gates)
+            key = (frozenset(form.items()), circ.decode[op].qubits, op.is_number)
+            first = owner.setdefault(key, (mc.id, op))
+            if pair is None and first[0] != mc.id:
+                pair = (first, (mc.id, op))
+    assert pair is not None
+    for cid, op in pair:
+        good = schedule.circuits[cid].decode[op]
+        values = list(good.values)
+        values[0] = values[0] - 1 if values[0] > 0 else values[0] + 1
+        bad = DecodeTable(good.qubits, tuple(values))
+        circ = schedule.circuits[cid]
+        circs = list(schedule.circuits)
+        circs[cid] = dataclasses.replace(circ, decode={**circ.decode, op: bad})
+        broken = dataclasses.replace(schedule, circuits=circs)
+        assert circuits.conjugation_problems(broken) == [
+            f"clique {cid} {op}: decodes to {good.values}, table says {bad.values}"
+        ]
+    assert circuits.conjugation_problems(schedule) == []
+
+
+_REFERENCE_TABLES: dict = {}
+
+
+def reference_conjugate(paulis, gates):
+    """The Fraction-based conjugation the half-unit kernel replaced:
+    rational coefficients, image tables keyed by (x, z), and a touched-qubit
+    mask that only grows."""
+    paulis = {s: Fraction(c, 2) for s, c in paulis.items()}
+    touched = reduce(int.__or__, (x | z for x, z in paulis), 0)
+    for gate in gates:
+        low, k = gate.qubits[0], len(gate.qubits)
+        mask = ((1 << k) - 1) << low
+        if not touched & mask:
+            continue
+        if gate.name not in _REFERENCE_TABLES:
+            _REFERENCE_TABLES[gate.name] = reference_image_table(gate.name, gate.resolved_matrix())
+        table, moved = _REFERENCE_TABLES[gate.name], {}
+        for (x, z), c in paulis.items():
+            if (x | z) & mask:
+                nx, nz, sign = table[(x & mask) >> low, (z & mask) >> low]
+                x, z = x & ~mask | nx << low, z & ~mask | nz << low
+                c = c if sign > 0 else -c
+                touched |= (nx | nz) << low
+            moved[x, z] = c
+        paulis = moved
+    return paulis
+
+
+def reference_decode(support, paulis, is_number) -> DecodeTable:
+    """The Fraction-based decode the cached half-unit one replaced."""
+    assert not any(x for x, _ in paulis)
+    bits = reduce(int.__or__, (z for _, z in paulis), 0)
+    assert not bits & ~sum(1 << q for q in support)
+    den = math.lcm(*(c.denominator for c in paulis.values()))
+    terms = [(z, c.numerator * (den // c.denominator)) for (_, z), c in paulis.items()]
+    k = len(support)
+    values = []
+    for i in range(1 << k):
+        ones = sum(1 << q for b, q in enumerate(support) if (i >> (k - 1 - b)) & 1)
+        values.append(Fraction(sum(-a if (z & ones).bit_count() & 1 else a for z, a in terms), den))
+    assert set(values) <= ({0, 1} if is_number else {-1, 0, 1})
+    return DecodeTable(support, tuple(int(v) for v in values))
+
+
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+def test_every_operator_decodes_as_the_fraction_reference(mapping):
+    for n in range(2, 11):
+        schedule = emit_schedule(build_universe(n), mapping)
+        assert circuits.conjugation_problems(schedule) == [], n
+        for mc, circ in zip(schedule.universe.cliques, schedule.circuits):
+            for op in mc.ops:
+                table = circ.decode[op]
+                full = pauli.operator_paulis(op, mapping, n)
+                exact = pauli.conjugate(full, circ.gates)
+                reference = reference_conjugate(full, circ.gates)
+                assert {s: Fraction(c, 2) for s, c in exact.items()} == reference, (n, op)
+                assert reference_decode(table.qubits, reference, op.is_number) == table, (n, op)
+                assert _decode_from_diagonal(table.qubits, exact, op.is_number, "") == table
