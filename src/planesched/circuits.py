@@ -50,6 +50,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import pauli
+from .graphcheck import lower_bound
 from .swapnet import SwapNetwork, odd_even_sort, position_vector
 from .universe import SPIN_NAMES, UP, DOWN, HoppingOp, MeasurementClique, Universe
 
@@ -164,7 +165,8 @@ def map_fswap(l: int, spin: int, mapping: str, n: int) -> Gate:
 
 @cache
 def _rotation_layer(m_up: int, m_down: int, mapping: str, n: int) -> tuple[Gate, ...]:
-    """The rotation layer, shared by every circuit with these pair counts."""
+    """Basis-rotation gates for sorted hopping pairs (m_up up pairs, m_down
+    down), one tuple shared by every circuit with these pair counts."""
     if mapping not in ("jw", "parity"):
         raise ValueError(f"unknown mapping: {mapping!r}")
     pair_qubits = [
@@ -176,11 +178,6 @@ def _rotation_layer(m_up: int, m_down: int, mapping: str, n: int) -> tuple[Gate,
     if mapping == "jw":
         return tuple(_gate("CNOT", (q, q + 1)) for q in pair_qubits) + hadamards
     return hadamards
-
-
-def diag_layer(m_up: int, m_down: int, mapping: str, n: int) -> list[Gate]:
-    """Basis-rotation gates for sorted hopping pairs (m_up up pairs, m_down down)."""
-    return list(_rotation_layer(m_up, m_down, mapping, n))
 
 
 @cache
@@ -313,7 +310,7 @@ class Schedule:
             "families": self.universe.family_counts(),
             "cliques_total": len(self.circuits),
             "closed_form_total": 2 * n * n - 2 * n + 1,
-            "cover_lower_bound": (n - 1) * (n - 3) if n >= 4 else 0,
+            "cover_lower_bound": lower_bound(n),
             "depth_max": max(depths),
             "depth_histogram": dict(sorted(hist.items())),
             "gate_count_total": sum(gate_counts),

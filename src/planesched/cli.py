@@ -152,7 +152,7 @@ def _parse_state(spec: str, n_qubits: int) -> np.ndarray:
         raise ValueError('amplitude file needs {"amplitudes": [[re, im], ...]}')
     try:
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"amplitudes must be [re, im] number pairs: {exc}") from exc
     if amps.shape != (1 << n_qubits,):
         raise ValueError(f"amplitude file has {amps.shape[0]} entries, expected {1 << n_qubits}")
@@ -276,8 +276,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "orbitals", None) is not None and args.orbitals < 2:
         build_parser().error("--orbitals must be at least 2")
-    if getattr(args, "shots", 0) < 0:
-        build_parser().error("--shots must be 0 (exact) or positive")
+    # the sampler's multinomial counts are int64
+    if not 0 <= getattr(args, "shots", 0) <= 2**63 - 1:
+        build_parser().error("--shots must be 0 (exact) or positive, at most 2**63 - 1")
     if getattr(args, "seed", 0) < 0:
         build_parser().error("--seed must be 0 or positive")
     return args.func(args)

@@ -13,15 +13,22 @@ operator groups suffice to estimate every required expectation value:
 
 With N - 1 prime the family sizes are 1, 2(N-1), (N-1)^2 and (N-1)^2.
 
-``decompose`` expands a coefficient tensor onto this measurable basis,
-rewriting index-overlapping same-spin products with exact fermionic algebra.
+``decompose`` expands the coefficient tensors onto this measurable basis.
+It works on the canonical pairs i = (p, q), p <= q, each read as the factor
+A_pq (p < q) or n_p (p == q), and on ``f[s, t, i, j]``, the coefficient of
+the product of pairs i and j: g/8 summed over both orders of each index
+pair.  Same-spin products that share an index reduce with four identities,
+
+    n_p n_p = n_p
+    A_pq A_pq = n_p + n_q - 2 n_p n_q
+    n_y A_yz + A_yz n_y = A_yz
+    A_xy A_yz + A_yz A_xy = A_xz - 2 n_y A_xz     (x, y, z distinct)
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -59,14 +66,6 @@ class HoppingOp(NamedTuple):
 
 TermKey = tuple[HoppingOp, ...]  # one or two commuting factors, canonically sorted
 Decomposition = tuple[float, dict[TermKey, float]]  # constant, coefficient per term
-
-
-def one_body_key(p: int, q: int, spin: int) -> TermKey:
-    return (HoppingOp(min(p, q), max(p, q), spin),)
-
-
-def two_body_key(a: HoppingOp, b: HoppingOp) -> TermKey:
-    return (a, b) if a <= b else (b, a)
 
 
 def classify_terms(n: int) -> list[TermKey]:
@@ -277,10 +276,13 @@ def load_hamiltonian(path: str) -> Hamiltonian:
     if isinstance(e_nuc, bool) or not isinstance(e_nuc, (int, float)):
         raise ValueError(f"e_nuc must be a real number, got {e_nuc!r}")
     try:
+        e_nuc = float(e_nuc)
         h, g = (np.asarray(data[key], dtype=float) for key in ("h", "g"))
+    except OverflowError as exc:
+        raise ValueError(f"e_nuc, h and g must fit in a float: {exc}") from None
     except TypeError as exc:
         raise ValueError(f"h and g must be nested lists of numbers: {exc}") from None
-    return Hamiltonian(n_orbitals=n, e_nuc=float(e_nuc), h=h, g=g)
+    return Hamiltonian(n_orbitals=n, e_nuc=e_nuc, h=h, g=g)
 
 
 _G_SYMMETRY_AXES = [
@@ -307,99 +309,57 @@ def random_hamiltonian(n: int, seed: int) -> Hamiltonian:
 def decompose(ham: Hamiltonian) -> Decomposition:
     """Expand the Hamiltonian onto the measurable term basis.
 
-    Disjoint products map through directly (a diagonal factor A(p,p) is twice
-    the number operator, hence the powers of two).  Index-overlapping
-    same-spin products are rewritten with the exact identities
+    Terms are built on the canonical pairs i = (p, q), p <= q, read as the
+    factor X_i = A_pq when p < q and X_i = n_p when p == q (A_pp = 2 n_p).
+    Summing g/8 over both orders of each index pair gives ``f[s, t, i, j]``,
+    the coefficient of X_i^s X_j^t; h/2 summed the same way gives each
+    one-body coefficient.  Cross-spin and index-disjoint same-spin products
+    are terms as they stand.  A same-spin product of pairs i <= j enters
+    through c = f_ij + f_ji (f_ii when i == j) and, when the pairs share an
+    index, is rewritten with exactly one of the identities
 
+        n_p n_p = n_p
         A_pq A_pq = n_p + n_q - 2 n_p n_q
-        A_xy A_yz = adag_x a_z - n_y A_xz     (x, y, z distinct)
-        A_yy A_yz = 2 adag_y a_z
-        A_xy A_yy = 2 adag_x a_y
+        n_y A_yz + A_yz n_y = A_yz
+        A_xy A_yz + A_yz A_xy = A_xz - 2 n_y A_xz     (x, y, z distinct)
 
-    The directed adag_x a_z pieces carry equal coefficients in both
-    directions once the tensor symmetries hold, and recombine into A_xz.
+    applied to c/2 times the anticommutator, which is f_ij X_i X_j + f_ji X_j X_i
+    because pair exchange makes f_ij = f_ji.
     """
     n = ham.n_orbitals
+    pairs = [(p, q) for p in range(n) for q in range(p, n)]
+    ps, qs = np.array(pairs).T
+    g = ham.g + ham.g.transpose(0, 1, 3, 2, 4, 5)
+    f = (g + g.transpose(0, 1, 2, 3, 5, 4))[:, :, ps, qs][..., ps, qs] / 8
+    hs = (ham.h + ham.h.transpose(0, 2, 1))[:, ps, qs] / 2
+    ops = [[HoppingOp(p, q, spin) for p, q in pairs] for spin in (UP, DOWN)]
     coeff: dict[TermKey, float] = {}
-    directed: dict[tuple[int, int, int], float] = {}
 
-    def bump(key: TermKey, c: float) -> None:
+    def bump(c: float, *factors: HoppingOp) -> None:
+        key = tuple(sorted(factors))
         coeff[key] = coeff.get(key, 0.0) + c
 
-    def bump_directed(spin: int, x: int, z: int, c: float) -> None:
-        k = (spin, x, z)
-        directed[k] = directed.get(k, 0.0) + c
-
-    for spin in (UP, DOWN):
-        hmat = ham.h[spin]
-        for p in range(n):
-            bump(one_body_key(p, p, spin), hmat[p, p])
-            for q in range(n):
-                if p != q:
-                    bump(one_body_key(p, q, spin), hmat[p, q] / 2)
-
-    for s1 in (UP, DOWN):
-        for s2 in (UP, DOWN):
-            gmat = ham.g[s1, s2]
-            for p, q, r, u in product(range(n), repeat=4):
-                c = gmat[p, q, r, u] / 8
-                if c == 0.0:
-                    continue
-                if s1 != s2:
-                    mult = (2 if p == q else 1) * (2 if r == u else 1)
-                    key = two_body_key(
-                        HoppingOp(min(p, q), max(p, q), s1),
-                        HoppingOp(min(r, u), max(r, u), s2),
-                    )
-                    bump(key, c * mult)
-                    continue
-                first = {p, q}
-                second = {r, u}
-                if first.isdisjoint(second):
-                    mult = (2 if p == q else 1) * (2 if r == u else 1)
-                    key = two_body_key(
-                        HoppingOp(min(p, q), max(p, q), s1),
-                        HoppingOp(min(r, u), max(r, u), s1),
-                    )
-                    bump(key, c * mult)
-                elif first == second:
-                    if p == q:
-                        bump(one_body_key(p, p, s1), 4 * c)
-                    else:
-                        bump(one_body_key(p, p, s1), c)
-                        bump(one_body_key(q, q, s1), c)
-                        bump(
-                            two_body_key(HoppingOp(p, p, s1), HoppingOp(q, q, s1)),
-                            -2 * c,
-                        )
-                elif p == q:
-                    # A_yy A_yz with y = p shared, z the other label of (r, u)
-                    z = u if r == p else r
-                    bump_directed(s1, p, z, 2 * c)
-                elif r == u:
-                    # A_xy A_yy with y = r shared, x the other label of (p, q)
-                    x = q if p == r else p
-                    bump_directed(s1, x, r, 2 * c)
+    for s in (UP, DOWN):
+        for i, a in enumerate(ops[s]):
+            bump(hs[s, i], a)
+            for j, b in enumerate(ops[1 - s]):
+                bump(f[s, 1 - s, i, j], a, b)
+            for j, b in enumerate(ops[s][i:], i):
+                c = f[s, s, i, i] if i == j else f[s, s, i, j] + f[s, s, j, i]
+                if a.indices.isdisjoint(b.indices):
+                    bump(c, a, b)
+                elif a == b and a.is_number:
+                    bump(c, a)
+                elif a == b:
+                    np_, nq = HoppingOp(a.p, a.p, s), HoppingOp(a.q, a.q, s)
+                    bump(c, np_)
+                    bump(c, nq)
+                    bump(-2 * c, np_, nq)
+                elif a.is_number or b.is_number:
+                    bump(c / 2, b if a.is_number else a)
                 else:
-                    shared = (first & second).pop()
-                    x = (first - {shared}).pop()
-                    z = (second - {shared}).pop()
-                    bump_directed(s1, x, z, c)
-                    bump(
-                        two_body_key(
-                            HoppingOp(shared, shared, s1),
-                            HoppingOp(min(x, z), max(x, z), s1),
-                        ),
-                        -c,
-                    )
-
-    done: set[tuple[int, int, int]] = set()
-    for (spin, x, z), c in directed.items():
-        lo, hi = min(x, z), max(x, z)
-        if (spin, lo, hi) in done:
-            continue
-        done.add((spin, lo, hi))
-        total = directed.get((spin, lo, hi), 0.0) + directed.get((spin, hi, lo), 0.0)
-        bump(one_body_key(lo, hi, spin), total / 2)
-
+                    (y,) = a.indices & b.indices
+                    xz = HoppingOp(*sorted(a.indices ^ b.indices), s)
+                    bump(c / 2, xz)
+                    bump(-c, HoppingOp(y, y, s), xz)
     return ham.e_nuc, {k: v for k, v in coeff.items() if v != 0.0}

@@ -13,7 +13,7 @@ from planesched.circuits import (
     DiagonalizationError,
     Gate,
     InvalidSwapError,
-    diag_layer,
+    _rotation_layer,
     emit,
     emit_schedule,
     load_schedule_dict,
@@ -96,13 +96,13 @@ def test_map_fswap_rejects_block_crossing():
 
 
 def test_diag_layer_shapes():
-    gates = diag_layer(1, 0, "jw", 4)
+    gates = _rotation_layer(1, 0, "jw", 4)
     assert [g.name for g in gates] == ["CNOT", "H"]
     assert gates[0].qubits == (0, 1) and gates[1].qubits == (0,)
-    gates = diag_layer(2, 1, "parity", 5)
+    gates = _rotation_layer(2, 1, "parity", 5)
     assert [g.name for g in gates] == ["H", "H", "H"]
     assert [g.qubits for g in gates] == [(0,), (2,), (5,)]
-    assert diag_layer(0, 0, "jw", 4) == []
+    assert _rotation_layer(0, 0, "jw", 4) == ()
 
 
 def test_emit_particle_number_clique_is_identity():
@@ -240,14 +240,13 @@ def test_shared_emission_caches_keep_each_schedule_pinned():
         text = schedule_json(schedule)
         assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_SHA256[n, mapping]
         assert all(type(circ.gates) is tuple for circ in schedule.circuits)
-    layer = diag_layer(2, 1, "jw", 4)
-    layer.clear()
-    assert diag_layer(2, 1, "jw", 4) != []
-    assert diag_layer(0, 0, "jw", 4) == []
-    assert type(diag_layer(0, 0, "jw", 4)) is list
+    # the shared rotation layer is immutable, so no caller can empty it
+    assert type(_rotation_layer(2, 1, "jw", 4)) is tuple
+    assert _rotation_layer(2, 1, "jw", 4) != ()
+    assert _rotation_layer(0, 0, "jw", 4) == ()
     # one object per distinct gate
     assert map_fswap(2, DOWN, "parity", 6) is map_fswap(2, DOWN, "parity", 6)
-    assert diag_layer(1, 0, "jw", 4)[1] is diag_layer(1, 1, "jw", 4)[2]
+    assert _rotation_layer(1, 0, "jw", 4)[1] is _rotation_layer(1, 1, "jw", 4)[2]
 
 
 def test_written_file_equals_schedule_json(tmp_path):

@@ -320,15 +320,26 @@ def test_estimate_bad_inputs_are_one_line_errors(tmp_path, capsys):
         assert code == 2
         assert_one_line_error(capsys)
 
-    with pytest.raises(SystemExit) as err:
-        main(["estimate", "--hamiltonian", str(ham_path), "--shots", "-5"])
-    assert err.value.code == 2
-    err_text = capsys.readouterr().err
-    assert "Traceback" not in err_text and "error: --shots" in err_text
+    # the sampler's counts are int64: 2**63 - 1 shots is the largest that runs
+    for shots in (-5, 2**63, 10**20):
+        with pytest.raises(SystemExit) as err:
+            main(["estimate", "--hamiltonian", str(ham_path), "--shots", str(shots)])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert "Traceback" not in err_text and "error: --shots" in err_text
+    code, out = run(capsys, "estimate", "--hamiltonian", str(ham_path),
+                    "--shots", str(2**63 - 1))
+    assert code == 0 and "energy_stderr:" in out
+
+
+TOO_BIG = 10**400  # an exact JSON integer beyond float range
 
 
 @pytest.mark.parametrize("malformed", [
     "list", {"e_nuc": None}, {"n_orbitals": [2]}, {"n_orbitals": 2.5}, {"h": {}},
+    {"e_nuc": TOO_BIG},
+    {"h": np.full((2, 2, 2), TOO_BIG, dtype=object).tolist()},
+    {"g": np.full((2,) * 6, TOO_BIG, dtype=object).tolist()},
 ])
 def test_estimate_rejects_malformed_hamiltonian(tmp_path, capsys, malformed):
     data = random_hamiltonian(2, seed=4).to_dict()
@@ -355,7 +366,8 @@ def test_estimate_rejects_zero_or_non_finite_amplitudes(tmp_path, capsys):
     zeros = [[0.0, 0.0]] * 16
     with_nan = [[0.25, 0.0]] * 15 + [[float("nan"), 0.0]]
     with_inf = [[0.25, 0.0]] * 15 + [[0.0, float("inf")]]
-    for amplitudes in (zeros, with_nan, with_inf):
+    too_big = [[0.25, 0.0]] * 15 + [[TOO_BIG, 0.0]]
+    for amplitudes in (zeros, with_nan, with_inf, too_big):
         state_path = tmp_path / "state.json"
         state_path.write_text(json.dumps({"amplitudes": amplitudes}))
         for extra in ([], ["--shots", "10"]):

@@ -1,6 +1,7 @@
 """Term classification, clique families, routing, and the Hamiltonian model."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -202,7 +203,7 @@ def test_hamiltonian_symmetry_validation():
 
 def test_decomposition_matches_dense_oracle():
     # independent route: every basis term as an exact sparse matrix
-    for n, mapping in [(2, "jw"), (3, "jw"), (2, "parity")]:
+    for n, mapping in [(2, "jw"), (3, "jw"), (2, "parity"), (3, "parity"), (4, "jw")]:
         rng = np.random.default_rng(17 * n)
         for hs in range(2):
             ham = random_hamiltonian(n, seed=50 + hs)
@@ -226,3 +227,103 @@ def test_decompose_coefficients_cover_only_measurable_terms():
         _, coeffs = decompose(ham)
         measurable = set(classify_terms(n))
         assert set(coeffs) <= measurable
+
+
+def reference_decompose(ham):
+    """The ordered-index expansion that ``decompose`` replaced: every entry
+    of g over all 4N^4 index orders, the overlapping same-spin products
+    rewritten with directed adag_x a_z pieces that are recombined at the end
+
+        A_pq A_pq = n_p + n_q - 2 n_p n_q
+        A_xy A_yz = adag_x a_z - n_y A_xz     (x, y, z distinct)
+        A_yy A_yz = 2 adag_y a_z
+        A_xy A_yy = 2 adag_x a_y
+    """
+    n = ham.n_orbitals
+    coeff = {}
+    directed = {}
+
+    def op(p, q, spin):
+        return HoppingOp(min(p, q), max(p, q), spin)
+
+    def bump(key, c):
+        key = tuple(sorted(key))
+        coeff[key] = coeff.get(key, 0.0) + c
+
+    def bump_directed(spin, x, z, c):
+        directed[spin, x, z] = directed.get((spin, x, z), 0.0) + c
+
+    for spin in (UP, DOWN):
+        for p in range(n):
+            bump((op(p, p, spin),), ham.h[spin, p, p])
+            for q in range(n):
+                if p != q:
+                    bump((op(p, q, spin),), ham.h[spin, p, q] / 2)
+    for s1, s2 in product((UP, DOWN), repeat=2):
+        for p, q, r, u in product(range(n), repeat=4):
+            c = ham.g[s1, s2, p, q, r, u] / 8
+            if c == 0.0:
+                continue
+            first, second = {p, q}, {r, u}
+            if s1 != s2 or first.isdisjoint(second):
+                mult = (2 if p == q else 1) * (2 if r == u else 1)
+                bump((op(p, q, s1), op(r, u, s2)), c * mult)
+            elif first == second:
+                if p == q:
+                    bump((op(p, p, s1),), 4 * c)
+                else:
+                    bump((op(p, p, s1),), c)
+                    bump((op(q, q, s1),), c)
+                    bump((op(p, p, s1), op(q, q, s1)), -2 * c)
+            elif p == q:
+                bump_directed(s1, p, u if r == p else r, 2 * c)
+            elif r == u:
+                bump_directed(s1, q if p == r else p, r, 2 * c)
+            else:
+                (shared,) = first & second
+                (x,), (z,) = first - {shared}, second - {shared}
+                bump_directed(s1, x, z, c)
+                bump((op(shared, shared, s1), op(x, z, s1)), -c)
+    done = set()
+    for spin, x, z in directed:
+        lo, hi = min(x, z), max(x, z)
+        if (spin, lo, hi) not in done:
+            done.add((spin, lo, hi))
+            total = directed.get((spin, lo, hi), 0.0) + directed.get((spin, hi, lo), 0.0)
+            bump((op(lo, hi, spin),), total / 2)
+    return ham.e_nuc, {k: v for k, v in coeff.items() if v != 0.0}
+
+
+def structured_hamiltonians(n, seed):
+    """Hamiltonians that each leave out whole parts of the expansion, and
+    one with an asymmetry below the validation tolerance."""
+    ham = random_hamiltonian(n, seed)
+    h_only = Hamiltonian(n, ham.e_nuc, ham.h, np.zeros_like(ham.g))
+    cross = ham.g.copy()
+    cross[UP, UP] = cross[DOWN, DOWN] = 0.0
+    same = ham.g - cross
+    g_skew = ham.g.copy()
+    g_skew[UP, UP, 0, 1, 1, 1] += 1e-13
+    g_skew[UP, DOWN, 0, 0, 0, 1] -= 1e-13
+    h_skew = ham.h.copy()
+    h_skew[DOWN, 0, 1] += 1e-13
+    return [
+        h_only,
+        Hamiltonian(n, ham.e_nuc, ham.h, cross),
+        Hamiltonian(n, ham.e_nuc, ham.h, same),
+        Hamiltonian(n, ham.e_nuc, h_skew, g_skew),
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_decompose_matches_ordered_index_reference(n):
+    hams = [random_hamiltonian(n, seed) for seed in range(3)]
+    hams += structured_hamiltonians(n, seed=10 + n)
+    for ham in hams:
+        const, coeffs = decompose(ham)
+        ref_const, reference = reference_decompose(ham)
+        assert const == ref_const
+        assert set(coeffs) == set(reference)
+        scale = max(abs(c) for c in reference.values())
+        for key, c in reference.items():
+            assert abs(coeffs[key] - c) <= 1e-12 * scale, key
