@@ -280,7 +280,7 @@ def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
         permutations={UP: nets[UP].permutation, DOWN: nets[DOWN].permutation},
     )
 
-SCHEDULE_VERSION = 1
+SCHEDULE_VERSION = 2
 
 # only non-standard gate matrices go into the schedule file
 _SERIALIZED_MATRICES = {"FSWAP2", "FSWAP3", "FSWAP_EDGE"}
@@ -365,20 +365,13 @@ def _schedule_chunks(schedule: Schedule) -> Iterator[str]:
     """The schedule's JSON text, one clique record at a time.
 
     The text is ``json.dumps`` of the whole document with sorted keys and
-    ``(",", ":")`` separators, plus a newline.  Each gate object is encoded
-    once (emission shares one object per distinct gate), each gate name's
-    matrix once, and each operator and decode table once.
+    ``(",", ":")`` separators, plus a newline.  A clique's ``gates`` are
+    indices into ``gate_defs``, one ``{name, qubits}`` per distinct gate in
+    order of first use; ``gate_matrices`` holds each non-standard gate name's
+    matrix once.  Both tables sort after ``cliques``, so they are written
+    last, once every gate has been seen.
     """
-    # each cache lives for one call
-    matrix_text = cache(lambda name: _dumps(_matrix_to_pairs(GATE_MATRICES[name])))
-
-    def encode_gate(gate: Gate) -> str:
-        members = {"name": _dumps(gate.name), "qubits": _dumps(gate.qubits)}
-        if gate.name in _SERIALIZED_MATRICES:
-            members["matrix"] = matrix_text(gate.name)
-        return _object(members)
-
-    gate_text = cache(encode_gate)  # a Gate hashes by identity
+    gate_index: dict[tuple[str, tuple[int, ...]], int] = {}  # in order of first use
     op_text = cache(lambda op: _dumps(_op_to_list(op)))
     # a decode record's members after "op", in sorted key order
     table_text = cache(lambda t: f'"qubits":{_dumps(t.qubits)},"values":{_dumps(t.values)}')
@@ -388,24 +381,30 @@ def _schedule_chunks(schedule: Schedule) -> Iterator[str]:
     for i, (mc, circ) in enumerate(zip(schedule.universe.cliques, schedule.circuits)):
         decode = ",".join([f'{{"op":{op_text(op)},{table_text(circ.decode[op])}}}'
                            for op in mc.ops])
+        gates = [gate_index.setdefault((g.name, g.qubits), len(gate_index))
+                 for g in circ.gates]
         record = _object({
             "id": _dumps(mc.id),
             "family": _dumps(mc.family),
             "source": _dumps(mc.source),
             "ops": "[" + ",".join(map(op_text, mc.ops)) + "]",
-            "gates": "[" + ",".join(map(gate_text, circ.gates)) + "]",
+            "gates": _dumps(gates),
             "decode": "[" + decode + "]",
             "depth": _dumps(circ.depth),
             "permutation": _dumps({"up": circ.permutations[UP],
                                    "down": circ.permutations[DOWN]}),
         })
         yield ("," if i else "") + record
+    names = {name for name, _ in gate_index}
     tail = _object({
         "version": _dumps(SCHEDULE_VERSION),
         "n_orbitals": _dumps(schedule.n),
         "mapping": _dumps(schedule.mapping),
         "plane_order": _dumps(schedule.universe.pi),
         "families": _dumps(schedule.universe.family_counts()),
+        "gate_defs": _dumps([{"name": name, "qubits": qubits} for name, qubits in gate_index]),
+        "gate_matrices": _dumps({name: _matrix_to_pairs(GATE_MATRICES[name])
+                                 for name in names & _SERIALIZED_MATRICES}),
     })
     yield "]," + tail[1:] + "\n"
 

@@ -154,6 +154,8 @@ def _parse_state(spec: str, n_qubits: int) -> np.ndarray:
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"amplitudes must be [re, im] number pairs: {exc}") from exc
+    if any(isinstance(x, bool) for pair in data["amplitudes"] for x in pair):
+        raise ValueError("amplitudes must be [re, im] number pairs, not booleans")
     if amps.shape != (1 << n_qubits,):
         raise ValueError(f"amplitude file has {amps.shape[0]} entries, expected {1 << n_qubits}")
     if not np.all(np.isfinite(amps)):

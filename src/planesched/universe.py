@@ -264,6 +264,18 @@ class Hamiltonian:
             f.write("\n")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: ``true`` and ``false`` load as Python bools, which are ints."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _all_numbers(value) -> bool:
+    """Every leaf of nested lists is a JSON number."""
+    if isinstance(value, list):
+        return all(map(_all_numbers, value))
+    return _is_number(value)
+
+
 def load_hamiltonian(path: str) -> Hamiltonian:
     """Read the JSON form: {n_orbitals, e_nuc, h, g} with nested row-major lists."""
     with open(path) as f:
@@ -273,15 +285,16 @@ def load_hamiltonian(path: str) -> Hamiltonian:
     n, e_nuc = data["n_orbitals"], data["e_nuc"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"n_orbitals must be an integer, got {n!r}")
-    if isinstance(e_nuc, bool) or not isinstance(e_nuc, (int, float)):
+    if not _is_number(e_nuc):
         raise ValueError(f"e_nuc must be a real number, got {e_nuc!r}")
+    for key in ("h", "g"):
+        if not _all_numbers(data[key]):
+            raise ValueError(f"{key} must be nested lists of numbers")
     try:
         e_nuc = float(e_nuc)
         h, g = (np.asarray(data[key], dtype=float) for key in ("h", "g"))
     except OverflowError as exc:
         raise ValueError(f"e_nuc, h and g must fit in a float: {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"h and g must be nested lists of numbers: {exc}") from None
     return Hamiltonian(n_orbitals=n, e_nuc=e_nuc, h=h, g=g)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from planesched.circuits import (
     FSWAP2_MATRIX,
     FSWAP3_MATRIX,
     FSWAP_EDGE_MATRIX,
+    GATE_MATRICES,
     DiagonalizationError,
     Gate,
     InvalidSwapError,
@@ -25,7 +27,8 @@ from planesched.circuits import (
     verify_schedule_dict,
     write_schedule,
 )
-from planesched.universe import DOWN, UP, HoppingOp, build_universe
+from planesched.cli import main
+from planesched.universe import DOWN, SPIN_NAMES, UP, HoppingOp, build_universe
 
 
 def test_jw_fswap_action():
@@ -188,10 +191,15 @@ def test_schedule_roundtrip_and_verification(tmp_path):
     data = load_schedule_dict(str(path))
     assert verify_schedule_dict(data, schedule) == []
     # corrupt one gate qubit: verification localizes the divergence
-    for clique in data["cliques"]:
-        if clique["gates"]:
-            clique["gates"][0]["qubits"][0] += 1
-            break
+    clique = next(c for c in data["cliques"] if c["gates"])
+    data["gate_defs"][clique["gates"][0]]["qubits"][0] += 1
+    problems = verify_schedule_dict(data, schedule)
+    assert problems
+    assert any("gate_defs" in p for p in problems)
+    # point one clique's first gate at another gate
+    data = load_schedule_dict(str(path))
+    clique = next(c for c in data["cliques"] if c["gates"])
+    clique["gates"][0] = (clique["gates"][0] + 1) % len(data["gate_defs"])
     problems = verify_schedule_dict(data, schedule)
     assert problems
     assert any("gates" in p for p in problems)
@@ -211,6 +219,22 @@ def test_verify_schedule_dict_reports_header_mismatch():
 
 # schedule files stay byte-identical for a fixed (orbitals, mapping, version)
 SCHEDULE_SHA256 = {
+    (3, "jw"): "88a7730b8c74f0e261516f9ca94ed15a4aba39918fb6f8947fa0f5af7d74ed86",
+    (3, "parity"): "a7af11632c50b0aca874d550871e6398b4dd84e2f9f53ab3f63a1aa96b413b9c",
+    (4, "jw"): "1b9d8c3dc5f30c90d96f85d96a77a589e8220ecded716fea1f594482a35f149f",
+    (4, "parity"): "f88b2fef1ff102be772599899bb3c3f0664198b2611a3a51abf3d88f14a1fb6b",
+    (6, "jw"): "e07dccae8d4128694bd66a78559f6133c69b40412ac71090022b89aeda56d883",
+    (6, "parity"): "6c87dbb49ac6b592203e136a6f8395795db75787c04c192163e4847ddff3cc1c",
+    (7, "jw"): "63db15854577bd58733d485f8cc133819670567146092be2c3494061dcd55415",
+    (7, "parity"): "ed5adfe5f1851fcac5c5b8db4cbeff17dd34b5d4120dfb1c2d8c9239b9f99bcf",
+    (10, "jw"): "86bdb81a5bfacdcc7004b6d9e61e17fea42e269fd9fe8ad8d545f76048855203",
+    (10, "parity"): "951dc75bab2694eb5db00d56969da14c5b3e5c0441dd4340291d60ce2e5d5460",
+    (18, "jw"): "0f975f9ff868208bb8f9fec60ddc9ad188c0265fbacaf4a6c1b780067eaacc29",
+    (18, "parity"): "0815e232a05defa6d94172887ef16ddfb01ce77e663a3dce9a2bbcafe85bb75b",
+}
+
+# the same schedules in format version 1, written by ``v1_chunks``
+V1_SCHEDULE_SHA256 = {
     (3, "jw"): "608c6b82e51a67324b2f083f7785d3c21ab1a1142395ee23a137aa9959b4cb09",
     (3, "parity"): "1ec5b635c33b3dec6d330930eb1337278816d9f364d9b1a9e29f5dde3ebc7a2d",
     (4, "jw"): "929e837b680abdcdaec18cf371f5a49c0c0a2b8c2c7f660a338523c954db61f3",
@@ -230,6 +254,92 @@ SCHEDULE_SHA256 = {
 def test_schedule_bytes_are_pinned(n, mapping):
     text = schedule_json(emit_schedule(build_universe(n), mapping))
     assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_SHA256[n, mapping]
+
+
+_v1_dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+def _v1_object(members: dict[str, str]) -> str:
+    return "{" + ",".join(f"{_v1_dumps(k)}:{v}" for k, v in sorted(members.items())) + "}"
+
+
+def v1_chunks(schedule):
+    """Reference encoder: the version-1 writer, every gate written as an
+    object and each FSWAP gate with its matrix inline."""
+    matrix_text = cache(lambda name: _v1_dumps(
+        [[float(v.real), float(v.imag)] for v in GATE_MATRICES[name].reshape(-1)]))
+
+    def encode_gate(gate):
+        members = {"name": _v1_dumps(gate.name), "qubits": _v1_dumps(gate.qubits)}
+        if gate.name in ("FSWAP2", "FSWAP3", "FSWAP_EDGE"):
+            members["matrix"] = matrix_text(gate.name)
+        return _v1_object(members)
+
+    gate_text = cache(encode_gate)
+    op_text = cache(lambda op: _v1_dumps([op.p, op.q, SPIN_NAMES[op.spin]]))
+    table_text = cache(lambda t: f'"qubits":{_v1_dumps(t.qubits)},"values":{_v1_dumps(t.values)}')
+
+    yield '{"cliques":['
+    for i, (mc, circ) in enumerate(zip(schedule.universe.cliques, schedule.circuits)):
+        decode = ",".join([f'{{"op":{op_text(op)},{table_text(circ.decode[op])}}}'
+                           for op in mc.ops])
+        record = _v1_object({
+            "id": _v1_dumps(mc.id),
+            "family": _v1_dumps(mc.family),
+            "source": _v1_dumps(mc.source),
+            "ops": "[" + ",".join(map(op_text, mc.ops)) + "]",
+            "gates": "[" + ",".join(map(gate_text, circ.gates)) + "]",
+            "decode": "[" + decode + "]",
+            "depth": _v1_dumps(circ.depth),
+            "permutation": _v1_dumps({"up": circ.permutations[UP],
+                                      "down": circ.permutations[DOWN]}),
+        })
+        yield ("," if i else "") + record
+    tail = _v1_object({
+        "version": _v1_dumps(1),
+        "n_orbitals": _v1_dumps(schedule.n),
+        "mapping": _v1_dumps(schedule.mapping),
+        "plane_order": _v1_dumps(schedule.universe.pi),
+        "families": _v1_dumps(schedule.universe.family_counts()),
+    })
+    yield "]," + tail[1:] + "\n"
+
+
+def expand_to_v1(data: dict) -> dict:
+    """A version-2 document in version-1 shape: each gate index replaced by
+    its ``{name, qubits}`` plus the name's matrix, if it has one."""
+    defs, matrices = data.pop("gate_defs"), data.pop("gate_matrices")
+    gates = [dict(d, matrix=matrices[d["name"]]) if d["name"] in matrices else d
+             for d in defs]
+    for clique in data["cliques"]:
+        clique["gates"] = [gates[i] for i in clique["gates"]]
+    data["version"] = 1
+    return data
+
+
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+@pytest.mark.parametrize("n", [*range(2, 11), 18])
+def test_v2_expands_to_the_v1_reference(n, mapping):
+    """Format 2 loses nothing: expanded, it is exactly the version-1
+    document, and the reference encoder still gives the pinned v1 bytes."""
+    schedule = emit_schedule(build_universe(n), mapping)
+    expanded = expand_to_v1(schedule_to_dict(schedule))
+    cliques = iter(expanded.pop("cliques"))
+    digest = hashlib.sha256()
+    # parsed one clique record at a time, so the v1 text is never held whole
+    chunks = v1_chunks(schedule)
+    head = next(chunks)
+    assert head == '{"cliques":['
+    digest.update(head.encode())
+    for chunk in chunks:
+        digest.update(chunk.encode())
+        if chunk.startswith("],"):
+            assert json.loads("{" + chunk[2:]) == expanded
+        else:
+            assert json.loads(chunk.lstrip(",")) == next(cliques)
+    assert next(cliques, None) is None
+    if (n, mapping) in V1_SCHEDULE_SHA256:
+        assert digest.hexdigest() == V1_SCHEDULE_SHA256[n, mapping]
 
 
 def test_shared_emission_caches_keep_each_schedule_pinned():
@@ -270,18 +380,65 @@ def test_schedule_file_matches_rejects_any_byte_change(tmp_path):
         assert not schedule_file_matches(schedule, str(path))
 
 
+def corrupt(data: dict, kind: str) -> None:
+    """Break a loaded version-2 document the way a faulty writer could."""
+    gates = next(c["gates"] for c in data["cliques"] if c["gates"])
+    if kind == "index_out_of_range":
+        gates[0] = len(data["gate_defs"])
+    elif kind == "index_to_another_gate":
+        gates[0] = (gates[0] + 1) % len(data["gate_defs"])
+    elif kind == "gate_def_shifted":
+        qubits = data["gate_defs"][gates[0]]["qubits"]
+        qubits[:] = [q + 1 for q in qubits]
+    elif kind == "matrix_perturbed":
+        data["gate_matrices"]["FSWAP3"][9][0] += 1e-9
+    elif kind == "version_1":
+        expand_to_v1(data)
+
+
+@pytest.mark.parametrize("kind, where", [
+    ("index_out_of_range", "].gates[0]: "),
+    ("index_to_another_gate", "].gates[0]: "),
+    ("gate_def_shifted", "schedule.gate_defs["),
+    ("matrix_perturbed", "schedule.gate_matrices.FSWAP3[9][0]: "),
+    ("version_1", "version: file has 1, expected 2"),
+])
+def test_verify_out_rejects_corrupt_v2_file(tmp_path, capsys, kind, where):
+    path = str(tmp_path / "sched.json")
+    args = ["--orbitals", "4", "--mapping", "parity", "--out", path]
+    assert main(["schedule", *args]) == 0
+    data = load_schedule_dict(path)
+    corrupt(data, kind)
+    text = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    with open(path, "w") as f:
+        f.write(text)
+    if kind == "version_1":
+        # byte for byte the file the version-1 writer made
+        assert hashlib.sha256(text.encode()).hexdigest() == V1_SCHEDULE_SHA256[4, "parity"]
+    capsys.readouterr()
+    assert main(["verify", *args]) == 1
+    problems = [line.split(": ", 1)[1] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("schedule_file_problem: ")]
+    assert problems and all(where in p for p in problems), problems
+    if kind == "version_1":
+        # a file in another format is reported by its header alone
+        assert problems == ["version: file has 1, expected 2"]
+
+
 def test_schedule_matrices_serialized_as_pairs():
-    data = schedule_to_dict(emit_schedule(build_universe(3), "parity"))
-    seen_fswap3 = False
-    for clique in data["cliques"]:
-        for gate in clique["gates"]:
-            if gate["name"] == "FSWAP3":
-                seen_fswap3 = True
-                assert len(gate["matrix"]) == 64
-                assert all(len(entry) == 2 for entry in gate["matrix"])
-            if gate["name"] in ("CNOT", "H"):
-                assert "matrix" not in gate
-    assert seen_fswap3
+    for mapping, fswaps in (("parity", {"FSWAP3", "FSWAP_EDGE"}), ("jw", {"FSWAP2"})):
+        data = schedule_to_dict(emit_schedule(build_universe(3), mapping))
+        assert all(set(d) == {"name", "qubits"} for d in data["gate_defs"])
+        names = {d["name"] for d in data["gate_defs"]}
+        assert fswaps | {"H"} <= names
+        # only non-standard gates carry a matrix; CNOT and H never do
+        assert set(data["gate_matrices"]) == fswaps
+        for name, pairs in data["gate_matrices"].items():
+            # row-major [re, im] pairs: 64 for FSWAP3, 16 for the 2-qubit swaps
+            assert len(pairs) == GATE_MATRICES[name].size
+            assert all(len(entry) == 2 for entry in pairs)
+            matrix = np.array([complex(*entry) for entry in pairs])
+            assert np.array_equal(matrix, GATE_MATRICES[name].reshape(-1))
 
 
 def test_qubit_index_convention():

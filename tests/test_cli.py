@@ -340,6 +340,10 @@ TOO_BIG = 10**400  # an exact JSON integer beyond float range
     {"e_nuc": TOO_BIG},
     {"h": np.full((2, 2, 2), TOO_BIG, dtype=object).tolist()},
     {"g": np.full((2,) * 6, TOO_BIG, dtype=object).tolist()},
+    # JSON true/false and numeric strings are not numbers, though numpy reads them as such
+    {"h": np.full((2, 2, 2), True).tolist()},
+    {"g": np.full((2,) * 6, False).tolist()},
+    {"h": np.full((2, 2, 2), "0.5").tolist()},
 ])
 def test_estimate_rejects_malformed_hamiltonian(tmp_path, capsys, malformed):
     data = random_hamiltonian(2, seed=4).to_dict()
@@ -367,7 +371,8 @@ def test_estimate_rejects_zero_or_non_finite_amplitudes(tmp_path, capsys):
     with_nan = [[0.25, 0.0]] * 15 + [[float("nan"), 0.0]]
     with_inf = [[0.25, 0.0]] * 15 + [[0.0, float("inf")]]
     too_big = [[0.25, 0.0]] * 15 + [[TOO_BIG, 0.0]]
-    for amplitudes in (zeros, with_nan, with_inf, too_big):
+    booleans = [[True, False]] + [[False, False]] * 15
+    for amplitudes in (zeros, with_nan, with_inf, too_big, booleans):
         state_path = tmp_path / "state.json"
         state_path.write_text(json.dumps({"amplitudes": amplitudes}))
         for extra in ([], ["--shots", "10"]):
