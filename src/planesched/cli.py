@@ -198,7 +198,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         print(f"error: --orbitals {args.orbitals} but Hamiltonian has {n}", file=sys.stderr)
         return 2
     try:
-        sim_mod._check_size(2 * n)
+        sim_mod.check_size(2 * n)
     except sim_mod.SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

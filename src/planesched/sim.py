@@ -6,12 +6,24 @@ listed qubit is the most significant bit of the matrix index).  Fermionic
 states are specified in occupation-number terms over modes in up-then-down
 order and reindexed per mapping: Jordan-Wigner stores occupations directly,
 parity stores their running XOR.
+
+A circuit is applied a run of gates at a time.  Every gate but H (FSWAP2,
+FSWAP3, FSWAP_EDGE, CNOT) is a signed permutation, so a run of them is one
+signed permutation per spin block, composed once per distinct block network
+and shared by every clique with that network; the run is then one gather of
+the state times a sign.  A run of H gates is one real H (x) ... (x) I matrix
+product per block on the state viewed as (re, im) float pairs.  The blocks
+may be applied in either order: they share at most qubit n-1, under parity,
+and neither flips it, which each composed block checks.  ``apply_gate`` is
+the per-gate reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache, reduce
+from itertools import groupby
+from operator import or_
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -41,7 +53,8 @@ class SizeLimitError(ValueError):
     """System too large for the exact oracle."""
 
 
-def _check_size(n_qubits: int) -> None:
+def check_size(n_qubits: int) -> None:
+    """Raise ``SizeLimitError`` when ``n_qubits`` is beyond the exact oracle."""
     if n_qubits > MAX_QUBITS:
         raise SizeLimitError(f"{n_qubits} qubits exceeds the exact limit of {MAX_QUBITS}")
 
@@ -83,7 +96,8 @@ _ACCUMULATE = {1: np.add, -1: np.subtract}
 
 
 def apply_gate(state: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
-    """Apply one gate; returns a new vector.
+    """Apply one gate; returns a new vector.  The per-gate reference for
+    ``apply_circuit``.
 
     ``Gate`` holds contiguous ascending qubits, so the state is a
     (high, 2^m, low) array and each output row is a signed sum of input rows.
@@ -108,13 +122,133 @@ def apply_gate(state: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
     return out.reshape(-1)
 
 
+class _SignedPermutation(NamedTuple):
+    """A gate whose every row reads one input row with a sign, little-endian."""
+
+    cols: np.ndarray  # local row -> the local column it reads
+    signs: np.ndarray  # local row -> the sign it reads it with
+    writes: int  # mask of the local bits some row changes
+
+
+# every gate but H is a signed permutation (scale 1, one entry per row)
+_PERMUTATIONS = {
+    name: _SignedPermutation(
+        np.array([c for ((c, _),) in rows]),
+        np.array([float(s) for ((_, s),) in rows]),
+        reduce(or_, (r ^ c for r, ((c, _),) in enumerate(rows))),
+    )
+    for name, (scale, rows) in _GATE_ROWS.items()
+    if scale == 1.0 and all(len(row) == 1 for row in rows)
+}
+
+
+@lru_cache(maxsize=256)
+def _signed_block(
+    gates: tuple[Gate, ...], lo: int, width: int, fixed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``gates`` composed into one signed permutation of the window of
+    ``width`` qubits from qubit ``lo``: ``out[i] = sign[i] * in[src[i]]``.
+
+    Cached on the gate tuple: the cliques of a schedule share few distinct
+    spin-block networks.  Raises if the composition changes a window bit in
+    ``fixed``, the bits another block reads.
+    """
+    idx = np.arange(1 << width)
+    src, sign = idx, np.ones(1 << width)
+    for gate in gates:
+        perm = _PERMUTATIONS[gate.name]
+        shift = gate.qubits[0] - lo
+        local = (idx >> shift) & (len(perm.cols) - 1)
+        gather = idx ^ ((local ^ perm.cols[local]) << shift)
+        src, sign = src[gather], sign[gather] * perm.signs[local]
+    if np.any((src ^ idx) & fixed):
+        raise RuntimeError(f"gates {gates} change a qubit another spin block reads")
+    src.flags.writeable = sign.flags.writeable = False  # shared by every caller
+    return src, sign
+
+
+def _spin_blocks(
+    gates: tuple[Gate, ...], n_qubits: int
+) -> tuple[tuple[Gate, ...], tuple[Gate, ...], int, int]:
+    """``(low, high, h, lo)``: a run's gates on the qubits below ``h``, and
+    the rest, whose window runs from qubit ``lo <= h`` to the top.
+
+    h = n_qubits // 2 splits a clique circuit into its up and down spin
+    blocks, and the down window reaches down to the lowest qubit its gates
+    touch: qubit h - 1 under parity, which FSWAP3 at g = h reads.  The two
+    blocks commute when no gate writes one of the shared qubits lo .. h-1;
+    otherwise the whole run is one low block (h = lo = n_qubits).
+    """
+    h = n_qubits // 2
+    low = tuple(g for g in gates if g.qubits[-1] < h)
+    high = tuple(g for g in gates if g.qubits[-1] >= h)
+    lo = min([h] + [g.qubits[0] for g in high])
+    shared = (1 << h) - (1 << lo)
+    if any((_PERMUTATIONS[g.name].writes << g.qubits[0]) & shared for g in gates):
+        return gates, (), n_qubits, n_qubits
+    return low, high, h, lo
+
+
+def _apply_permutations(psi: np.ndarray, gates: tuple[Gate, ...], n_qubits: int) -> np.ndarray:
+    """A run of signed-permutation gates as one signed gather of the state,
+    each spin block composed once per distinct gate tuple."""
+    low, high, h, lo = _spin_blocks(gates, n_qubits)
+    k = h - lo  # shared qubits, which neither block changes
+    src_low, sign_low = _signed_block(low, 0, h, ((1 << k) - 1) << lo)
+    src_high, sign_high = _signed_block(high, lo, n_qubits - lo, (1 << k) - 1)
+    # the full index as (a, b, c): high-only qubits, shared qubits, low-only qubits
+    shape = (1 << (n_qubits - h), 1 << k, 1)
+    src = ((src_high >> k) << h).reshape(shape) | src_low.reshape(1, 1 << k, -1)
+    out = psi[src.reshape(-1)]
+    out *= (sign_high.reshape(shape) * sign_low.reshape(1, 1 << k, -1)).reshape(-1)
+    return out
+
+
+@lru_cache(maxsize=256)
+def _hadamards(mask: int, pairs: bool) -> np.ndarray:
+    """H on each set bit of ``mask`` and I on the bits below its top one, as
+    one real little-endian matrix; with ``pairs``, also I on each (re, im)."""
+    factors = [GATE_MATRICES["H"].real if mask >> j & 1 else np.eye(2)
+               for j in reversed(range(mask.bit_length()))]
+    matrix = reduce(np.kron, factors + [np.eye(2)] * pairs)
+    matrix.flags.writeable = False  # shared by every caller
+    return matrix
+
+
+def _apply_hadamards(psi: np.ndarray, gates: tuple[Gate, ...], n_qubits: int) -> np.ndarray:
+    """A run of H gates as one real matrix product per spin block, on the
+    complex state viewed as (re, im) float pairs.  The low block's matrix
+    spans qubit 0 to its highest H, the high block's its lowest to its
+    highest H."""
+    mask = 0
+    for gate in gates:
+        if gate.name != "H":
+            raise ValueError(f"no kernel for gate {gate.name!r}")
+        mask ^= 1 << gate.qubits[0]  # H twice is the identity
+    h = n_qubits // 2
+    low, high = mask & ((1 << h) - 1), mask >> h << h
+    x = psi.view(float)
+    if low:  # rows: the qubits above the span; columns: the span's (re, im) pairs
+        x = x.reshape(-1, 2 << low.bit_length()) @ _hadamards(low, True)
+    if high:  # the span [a, b) indexes the rows of one product per value above b
+        a, b = (high & -high).bit_length() - 1, high.bit_length()
+        x = _hadamards(high >> a, False) @ x.reshape(1 << (n_qubits - b), 1 << (b - a), 2 << a)
+    return x.reshape(-1).view(complex)
+
+
 def apply_circuit(state: np.ndarray, gates, n_qubits: int) -> np.ndarray:
-    _check_size(n_qubits)
+    """Apply a gate list: each run of permutation gates is one signed gather,
+    each run of H gates one matrix product per spin block."""
+    check_size(n_qubits)
     if state.shape != (1 << n_qubits,):
         raise ValueError(f"state has shape {state.shape}, expected ({1 << n_qubits},)")
-    psi = np.asarray(state, dtype=complex)
-    for gate in gates:
-        psi = apply_gate(psi, gate, n_qubits)
+    psi = np.ascontiguousarray(state, dtype=complex)
+    for is_permutation, run in groupby(gates, key=lambda g: g.name in _PERMUTATIONS):
+        run = tuple(run)
+        if max(g.qubits[-1] for g in run) >= n_qubits:
+            raise ValueError(f"gate outside the {n_qubits} qubits")
+        apply_run = _apply_permutations if is_permutation else _apply_hadamards
+        psi = apply_run(psi, run, n_qubits)
     return psi
 
 
@@ -142,7 +276,7 @@ def occupation_to_qubit_state(amps: np.ndarray, mapping: str, n_qubits: int) -> 
 
 def random_occupation_state(n_qubits: int, seed: int) -> np.ndarray:
     """Normalized complex Gaussian amplitudes over the occupation basis."""
-    _check_size(n_qubits)
+    check_size(n_qubits)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     return v / np.linalg.norm(v)
@@ -191,7 +325,7 @@ _PZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def annihilation_operator(j: int, mapping: str, n_qubits: int) -> sp.csr_matrix:
     """Mode annihilation operator as a sparse qubit matrix."""
-    _check_size(n_qubits)
+    check_size(n_qubits)
     lower = (_PX + 1j * _PY) / 2  # |0><1|
     if mapping == "jw":
         ops = {k: _PZ for k in range(j)}
@@ -254,7 +388,7 @@ def dense_hamiltonian(ham: Hamiltonian, mapping: str) -> sp.csr_matrix:
 
     n = ham.n_orbitals
     nq = 2 * n
-    _check_size(nq)
+    check_size(nq)
     dim = 1 << nq
     total = sp.identity(dim, dtype=complex, format="csr") * ham.e_nuc
     a_ops: dict[tuple[int, int, int], sp.csr_matrix] = {}

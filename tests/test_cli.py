@@ -414,3 +414,56 @@ assert dense.shape == (16, 16) and loaded()
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=env, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+ESTIMATE_EXACT_N4 = """\
+orbitals: 4
+mapping: {mapping}
+state: random:7
+energy_nuclear: 0.320163665858
+energy_part: -1.891705610222
+energy_one_body: -0.134943693660
+energy_diff_spin: -0.053450321350
+energy_same_spin: 0.022958980853
+energy: -1.736976978522
+"""
+
+ESTIMATE_SHOTS_N4 = {
+    "jw": """\
+orbitals: 4
+mapping: jw
+state: random:7
+shots_per_clique: 500
+seed: 3
+energy: -1.933252774197
+energy_stderr: 0.178938296539
+energy_stderr_part: 0.119476810597
+energy_stderr_one_body: 0.109274908292
+energy_stderr_diff_spin: 0.041801000085
+energy_stderr_same_spin: 0.063685763774
+""",
+    "parity": """\
+orbitals: 4
+mapping: parity
+state: random:7
+shots_per_clique: 500
+seed: 3
+energy: -1.954714063092
+energy_stderr: 0.179938841542
+energy_stderr_part: 0.123389934914
+energy_stderr_one_body: 0.106718459119
+energy_stderr_diff_spin: 0.041842403112
+energy_stderr_same_spin: 0.063350567816
+""",
+}
+
+
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+def test_estimate_output_is_pinned(tmp_path, capsys, mapping):
+    """The full printed output, exact and sampled, so a change to the
+    statevector kernel or the sample stream shows up as a diff."""
+    path = tmp_path / "ham4.json"
+    random_hamiltonian(4, seed=5).save(str(path))
+    args = ("estimate", "--hamiltonian", str(path), "--mapping", mapping, "--state", "random:7")
+    assert run(capsys, *args) == (0, ESTIMATE_EXACT_N4.format(mapping=mapping))
+    assert run(capsys, *args, "--shots", "500", "--seed", "3") == (0, ESTIMATE_SHOTS_N4[mapping])

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planesched import sim
 from planesched.circuits import GATE_MATRICES, DecodeTable, Gate, emit_schedule
@@ -66,6 +68,51 @@ def test_apply_gate_matches_sparse_embedding():
         via_matrices = embed_gate(g, nq) @ via_matrices
     assert np.allclose(via_rows, via_matrices)
     assert abs(np.linalg.norm(via_rows) - 1) < 1e-12
+
+
+def gate_by_gate(state: np.ndarray, gates, n_qubits: int) -> np.ndarray:
+    for gate in gates:
+        state = apply_gate(state, gate, n_qubits)
+    return state
+
+
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+def test_apply_circuit_matches_gate_by_gate_on_every_clique(mapping):
+    for n in range(2, 8):
+        psi = random_occupation_state(2 * n, seed=n)
+        for circ in emit_schedule(build_universe(n), mapping).circuits:
+            got = apply_circuit(psi, circ.gates, 2 * n)
+            assert np.abs(got - gate_by_gate(psi, circ.gates, 2 * n)).max() < 1e-12
+            # the two spin blocks commute, so each is composed on its own window
+            swaps = tuple(g for g in circ.gates if g.name != "H")
+            assert sim._spin_blocks(swaps, 2 * n)[2:] in ((n, n), (n, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_circuit_matches_gate_by_gate_on_any_gate_list(data):
+    """Any gate list: gates across the two halves, an H before permutation
+    gates, odd qubit counts."""
+    nq = data.draw(st.integers(2, 10), label="n_qubits")
+    legal = [
+        Gate(name, tuple(range(first, first + width)))
+        for name, mat in GATE_MATRICES.items()
+        for width in [mat.shape[0].bit_length() - 1]
+        for first in range(nq - width + 1)
+    ]
+    gates = data.draw(st.lists(st.sampled_from(legal), max_size=16), label="gates")
+    if data.draw(st.booleans(), label="leading H"):
+        gates = [Gate("H", (data.draw(st.integers(0, nq - 1), label="H qubit"),)), *gates]
+    psi = random_occupation_state(nq, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    assert np.abs(apply_circuit(psi, gates, nq) - gate_by_gate(psi, gates, nq)).max() < 1e-12
+
+
+def test_spin_blocks_must_not_change_a_shared_qubit():
+    # a block whose composition flips a qubit another block reads
+    with pytest.raises(RuntimeError, match="another spin block"):
+        sim._signed_block((Gate("FSWAP2", (0, 1)),), 0, 2, 0b10)
+    with pytest.raises(ValueError, match="outside"):
+        apply_circuit(random_occupation_state(4, seed=1), [Gate("CNOT", (3, 4))], 4)
 
 
 def test_apply_gate_rejects_wrong_qubit_count():
@@ -157,25 +204,45 @@ def test_anticommutation_relations():
                 assert np.allclose(anti, expected, atol=1e-12)
 
 
+def dense_deviation(n: int, mapping: str, seed: int) -> float:
+    """Largest gap between the schedule's hopping estimates and the dense
+    operators' expectations on a random state."""
+    schedule = emit_schedule(build_universe(n), mapping)
+    occ = random_occupation_state(2 * n, seed=seed)
+    psi = occupation_to_qubit_state(occ, mapping, 2 * n)
+    report = estimate_all(psi, schedule)
+    gaps = [0.0]
+    for op, value in report.one_body.items():
+        dense = hopping_operator(op.p, op.q, op.spin, mapping, n)
+        gaps.append(abs(value - np.vdot(psi, dense @ psi)))
+    for term, value in report.two_body.items():
+        factor = 1
+        for op in term:
+            factor *= 2 if op.is_number else 1
+        gaps.append(abs(value - factor * np.vdot(psi, term_matrix(term, mapping, n) @ psi)))
+    return max(gaps)
+
+
 def test_estimates_match_dense_operators():
-    n = 2
     for mapping in ("jw", "parity"):
-        schedule = emit_schedule(build_universe(n), mapping)
-        occ = random_occupation_state(2 * n, seed=9)
-        psi = occupation_to_qubit_state(occ, mapping, 2 * n)
-        report = estimate_all(psi, schedule)
-        for op, value in report.one_body.items():
-            dense = hopping_operator(op.p, op.q, op.spin, mapping, n)
-            exact = np.vdot(psi, dense @ psi)
-            assert abs(exact.imag) < 1e-10
-            assert abs(value - exact.real) < 1e-10
-        for term, value in report.two_body.items():
-            dense = term_matrix(term, mapping, n)
-            factor = 1
-            for op in term:
-                factor *= 2 if op.is_number else 1
-            exact = np.vdot(psi, dense @ psi) * factor
-            assert abs(value - exact.real) < 1e-10
+        assert dense_deviation(2, mapping, seed=9) < 1e-10
+
+
+@pytest.mark.parametrize("mapping, name", [("jw", "FSWAP2"), ("parity", "FSWAP3")])
+def test_dense_oracle_catches_a_dropped_swap_sign(mapping, name):
+    """A swap table that loses one -1 must fail the dense comparison."""
+    assert dense_deviation(3, mapping, seed=9) < 1e-10
+    original = sim._PERMUTATIONS[name]
+    signs = original.signs.copy()
+    signs[np.flatnonzero(signs < 0)[0]] = 1.0
+    sim._PERMUTATIONS[name] = original._replace(signs=signs)
+    sim._signed_block.cache_clear()  # blocks composed with the true table
+    try:
+        assert dense_deviation(3, mapping, seed=9) > 1e-3
+    finally:
+        sim._PERMUTATIONS[name] = original
+        sim._signed_block.cache_clear()
+    assert dense_deviation(3, mapping, seed=9) < 1e-10
 
 
 def test_basis_state_expectations():
@@ -337,6 +404,9 @@ def test_occupation_permutation_parity():
 
 
 def test_size_limit_enforced():
+    with pytest.raises(SizeLimitError):
+        sim.check_size(sim.MAX_QUBITS + 1)
+    sim.check_size(sim.MAX_QUBITS)
     with pytest.raises(SizeLimitError):
         random_occupation_state(16, seed=0)
     with pytest.raises(SizeLimitError):
