@@ -12,7 +12,6 @@ from .gf import Prime, smallest_prime_at_least
 from .graphcheck import build_graph, lower_bound, verify_cover
 from .plane import build_plane
 from .roundrobin import build_rounds
-from .sim import ExpectationReport, estimate_all
 from .universe import (
     Hamiltonian,
     HoppingOp,
@@ -26,6 +25,17 @@ from .universe import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """``ExpectationReport`` and ``estimate_all`` come from ``sim``, which
+    loads numpy, so they are imported on first use."""
+    if name in ("ExpectationReport", "estimate_all"):
+        from . import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ExpectationReport",

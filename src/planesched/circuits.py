@@ -18,6 +18,13 @@ gate (|01> <-> |10>, |11> -> -|11>).  Under parity it touches one extra
 qubit below the pair because occupations are stored as cumulative parities;
 at the very first qubit the gate reduces to a 2-qubit form.
 
+Each gate name has one exact matrix, ``GATE_SIGNS``: a scale times an
+integer sign matrix.  Gate validation, the Pauli image tables and the
+schedule file's ``gate_matrices`` read it with no floating-point step.
+Complex numpy matrices (``GATE_MATRICES``, ``FSWAP*_MATRIX``) are built
+from it on first use, for the statevector simulator and the tests, so
+emitting, writing and checking a schedule never loads numpy.
+
 Every gate is Clifford, so decode tables are exact: the Pauli form of the
 operator that the swap network leaves on the sorted slots is conjugated
 through the rotation layer (``pauli.conjugate``) and must come out diagonal
@@ -42,49 +49,90 @@ the circuits that use them.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, partial
 from itertools import zip_longest
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import pauli
 from .graphcheck import lower_bound
 from .swapnet import SwapNetwork, odd_even_sort, position_vector
 from .universe import SPIN_NAMES, UP, DOWN, HoppingOp, MeasurementClique, Universe
 
-_I = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+if TYPE_CHECKING:
+    import numpy as np
 
 
-def _kron(*mats: np.ndarray) -> np.ndarray:
-    return reduce(np.kron, mats)
+class SignMatrix(NamedTuple):
+    """A gate's matrix exactly: ``scale`` times the integer matrix ``signs``,
+    rows and columns indexed with the first listed qubit as the most
+    significant bit."""
 
+    scale: float
+    signs: tuple[tuple[int, ...], ...]
 
-# adjacent-mode fermionic swap, Jordan-Wigner: qubits (l, l+1)
-FSWAP2_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]], dtype=complex
-)
+    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each row's nonzero entries as (column, sign) pairs, a positive sign
+        first, with rows and columns reindexed little-endian: bit i of a
+        local index is the i-th listed qubit."""
+        k = len(self.signs).bit_length() - 1
+        rev = [int(f"{i:0{k}b}"[::-1], 2) for i in range(1 << k)]
+        return tuple(
+            tuple(sorted(((c, s) for c in range(1 << k) if (s := self.signs[rev[r]][rev[c]])),
+                         key=lambda e: -e[1]))
+            for r in range(1 << k)
+        )
 
-# adjacent-mode fermionic swap, parity mapping, interior: qubits (g-1, g, g+1)
-FSWAP3_MATRIX = (
-    _kron(_I, _X, _I) - _kron(_Z, _X, _Z) + _kron(_Z, _Z, _I) + _kron(_I, _Z, _Z)
-) / 2
-
-# the same gate at the global boundary g = 0: qubits (0, 1)
-FSWAP_EDGE_MATRIX = (
-    _kron(_X, _I) - _kron(_X, _Z) + _kron(_Z, _I) + _kron(_Z, _Z)
-) / 2
 
 # a gate's name fixes its matrix
-GATE_MATRICES = {"FSWAP2": FSWAP2_MATRIX, "FSWAP3": FSWAP3_MATRIX,
-                 "FSWAP_EDGE": FSWAP_EDGE_MATRIX, "CNOT": _CNOT, "H": _H}
+GATE_SIGNS = {
+    # adjacent-mode fermionic swap, Jordan-Wigner: qubits (l, l+1)
+    "FSWAP2": SignMatrix(1.0, ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, -1))),
+    # adjacent-mode fermionic swap, parity mapping, interior: qubits
+    # (g-1, g, g+1); it is (I X I - Z X Z + Z Z I + I Z Z) / 2
+    "FSWAP3": SignMatrix(1.0, (
+        (1, 0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 1, 0, 0, 0, 0),
+        (0, 0, -1, 0, 0, 0, 0, 0),
+        (0, 1, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 1, 0),
+        (0, 0, 0, 0, 0, -1, 0, 0),
+        (0, 0, 0, 0, 1, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0, 1),
+    )),
+    # the same gate at the global boundary g = 0: qubits (0, 1); it is
+    # (X I - X Z + Z I + Z Z) / 2
+    "FSWAP_EDGE": SignMatrix(1.0, ((1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0), (0, 1, 0, 0))),
+    "CNOT": SignMatrix(1.0, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))),
+    "H": SignMatrix(1 / math.sqrt(2), ((1, 1), (1, -1))),
+}
+
+_MATRIX_CONSTANTS = {"FSWAP2_MATRIX": "FSWAP2", "FSWAP3_MATRIX": "FSWAP3",
+                     "FSWAP_EDGE_MATRIX": "FSWAP_EDGE"}
+
+
+@cache
+def _gate_matrices() -> dict[str, np.ndarray]:
+    import numpy as np
+
+    matrices = {}
+    for name, m in GATE_SIGNS.items():
+        matrices[name] = matrix = np.array(m.signs, dtype=complex) * m.scale
+        matrix.flags.writeable = False  # shared by every caller
+    return matrices
+
+
+def __getattr__(attr: str):
+    """``GATE_MATRICES`` (gate name -> complex numpy matrix) and the
+    ``FSWAP*_MATRIX`` constants, built from ``GATE_SIGNS`` on first use so
+    that importing this module does not load numpy."""
+    if attr == "GATE_MATRICES":
+        return _gate_matrices()
+    if attr in _MATRIX_CONSTANTS:
+        return _gate_matrices()[_MATRIX_CONSTANTS[attr]]
+    raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")
 
 
 class InvalidSwapError(ValueError):
@@ -97,21 +145,24 @@ class DiagonalizationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """A named gate; the name fixes the matrix (``GATE_MATRICES``)."""
+    """A named gate; the name fixes the matrix (``GATE_SIGNS``)."""
 
     name: str
     qubits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        fixed = GATE_MATRICES.get(self.name)
+        fixed = GATE_SIGNS.get(self.name)
         if fixed is None:
             raise ValueError(f"unknown gate: {self.name!r}")
-        first, k = self.qubits[0], fixed.shape[0].bit_length() - 1
+        first, k = self.qubits[0], len(fixed.signs).bit_length() - 1
         if self.qubits != tuple(range(first, first + k)):
             raise ValueError(f"{self.name} needs {k} contiguous ascending qubits: {self}")
 
+    def sign_matrix(self) -> SignMatrix:
+        return GATE_SIGNS[self.name]
+
     def resolved_matrix(self) -> np.ndarray:
-        return GATE_MATRICES[self.name]
+        return _gate_matrices()[self.name]
 
 
 @dataclass(frozen=True)
@@ -344,8 +395,9 @@ def conjugation_problems(schedule: Schedule) -> list[str]:
     return problems
 
 
-def _matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in matrix.reshape(-1)]
+def _matrix_to_pairs(matrix: SignMatrix) -> list[list[float]]:
+    """Row-major ``[re, im]`` pairs of a gate's matrix."""
+    return [[float(matrix.scale * s), 0.0] for row in matrix.signs for s in row]
 
 
 def _op_to_list(op: HoppingOp) -> list:
@@ -403,7 +455,7 @@ def _schedule_chunks(schedule: Schedule) -> Iterator[str]:
         "plane_order": _dumps(schedule.universe.pi),
         "families": _dumps(schedule.universe.family_counts()),
         "gate_defs": _dumps([{"name": name, "qubits": qubits} for name, qubits in gate_index]),
-        "gate_matrices": _dumps({name: _matrix_to_pairs(GATE_MATRICES[name])
+        "gate_matrices": _dumps({name: _matrix_to_pairs(GATE_SIGNS[name])
                                  for name in names & _SERIALIZED_MATRICES}),
     })
     yield "]," + tail[1:] + "\n"

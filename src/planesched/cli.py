@@ -2,7 +2,7 @@
 
 Stats go to stdout as stable ``key: value`` lines; the schedule itself is
 written only to the requested file.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error.  Only ``estimate`` imports ``sim`` and numpy.
 """
 
 from __future__ import annotations
@@ -10,13 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import circuits as circuits_mod
 from . import cover as cover_mod
 from . import graphcheck as graph_mod
-from . import sim as sim_mod
 from .universe import (
     FAMILIES,
     Decomposition,
@@ -27,6 +25,9 @@ from .universe import (
     load_hamiltonian,
     route_term,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _print_stats(stats: dict) -> None:
@@ -139,6 +140,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _parse_state(spec: str, n_qubits: int) -> np.ndarray:
+    import numpy as np
+
+    from . import sim as sim_mod
+
     if spec.startswith("random:"):
         return sim_mod.random_occupation_state(n_qubits, int(spec.split(":", 1)[1]))
     if spec.startswith("basis:"):
@@ -184,9 +189,11 @@ def _family_contributions(
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    from . import sim as sim_mod  # numpy loads here, not for the other commands
+
     try:
         ham = load_hamiltonian(args.hamiltonian)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: cannot load Hamiltonian from {args.hamiltonian}: {exc}", file=sys.stderr)
         return 1
     n = ham.n_orbitals

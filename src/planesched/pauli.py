@@ -7,24 +7,24 @@ operator is a sum of strings with coefficient +-1/2, and every emitted gate
 is Clifford, so it maps each string to plus or minus one string:
 conjugation only flips signs and stays integer bookkeeping (Aaronson and
 Gottesman, arXiv:quant-ph/0406196).  A gate's image table is derived once
-per gate name from the matrix the gate itself resolves to; a gate that is
-not Clifford is rejected.
+per gate name from the gate's exact sign matrix (a scale times an integer
+matrix), in integer arithmetic with no tolerance; a gate that is not
+Clifford is rejected.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .universe import HoppingOp
 
+if TYPE_CHECKING:
+    from .circuits import SignMatrix
+
 PauliForm = dict[tuple[int, int], int]  # (x_bits, z_bits) -> coefficient in halves
 
-_MATRIX_TOL = 1e-9  # only for reading a signed string off a constant gate matrix
-_SINGLE = {(0, 0): np.eye(2), (1, 0): np.array([[0, 1], [1, 0]]),  # per-qubit (x, z)
-           (0, 1): np.diag([1, -1]), (1, 1): np.array([[0, -1j], [1j, 0]])}
 _TABLES: dict[str, list[tuple[int, int, int]]] = {}  # gate name -> image table
 
 
@@ -59,31 +59,43 @@ def operator_paulis(op: HoppingOp, mapping: str, n: int) -> PauliForm:
     raise ValueError(f"unknown mapping: {mapping!r}")
 
 
-def _image_table(name: str, matrix: np.ndarray) -> list[tuple[int, int, int]]:
+def _image_table(name: str, matrix: SignMatrix) -> list[tuple[int, int, int]]:
     """``table[x << k | z] = (x', z', sign)`` with U P U^dag = sign * P' for
-    the local string (x, z) on the gate's k qubits.  Local bit i is the i-th
-    listed gate qubit, the most significant bit of the matrix index.
+    the local string (x, z) on the gate's k qubits, in exact integers.
+    Local bit i is the i-th listed gate qubit.
 
-    All 4^k strings are conjugated at once, and the Pauli coefficients of
-    every image come from one batched trace.
+    U is ``scale * S`` with S an integer matrix, and U unitary makes
+    S S^T = d I with d = 1 / scale^2, so U P U^dag = sign * P' exactly when
+    S P S^T = d * sign * P'.  P = i^|x&z| X^x Z^z is a signed permutation up
+    to that phase; each column of S X^x Z^z S^T comes from the sparse rows
+    of S and must be the matching column of P'.
     """
-    k = matrix.shape[0].bit_length() - 1
-    strings = list(product(range(1 << k), repeat=2))  # in x << k | z order
-    basis = np.ones((len(strings), 1, 1))
-    for i in range(k):
-        local = np.array([_SINGLE[(x >> i) & 1, (z >> i) & 1] for x, z in strings])
-        basis = np.einsum("sab,scd->sacbd", basis, local).reshape(len(strings), 2 << i, 2 << i)
-    images = matrix @ basis @ matrix.conj().T
-    # coefficient of string t in image s: trace(P_t image_s) / 2^k
-    coefficients = np.einsum("tab,sba->st", basis, images).real / (1 << k)
-    best = np.abs(coefficients).argmax(axis=1)
-    signs = np.rint(coefficients[np.arange(len(strings)), best])
-    misses = np.abs(images - signs[:, None, None] * basis[best]).max(axis=(1, 2))
+    rows = matrix.rows()
+    k = len(rows).bit_length() - 1
+    by_column = [[(r, s) for r, row in enumerate(rows) for b, s in row if b == a]
+                 for a in range(1 << k)]
+    d = sum(s * s for _, s in rows[0])
     table = []
-    for s, t, sign, miss in zip(strings, best, signs, misses):
-        if not sign or miss >= _MATRIX_TOL:
-            raise ValueError(f"gate {name} is not Clifford: {s} maps to no signed Pauli string")
-        table.append((*strings[t], int(sign)))
+    for x, z in product(range(1 << k), repeat=2):
+        columns = []  # column c of S X^x Z^z S^T as {row: value}
+        for c in range(1 << k):
+            column: dict[int, int] = {}
+            for a, s in rows[c]:  # entry a of S^T e_c, moved to a ^ x
+                s = -s if (z & a).bit_count() & 1 else s
+                for r, t in by_column[a ^ x]:
+                    column[r] = column.get(r, 0) + t * s
+            columns.append({r: v for r, v in column.items() if v})
+        nx = min(columns[0], default=0)  # where the image sends column 0
+        v0 = columns[0].get(nx, 0)
+        nz = sum(1 << j for j in range(k) if columns[1 << j].get(1 << j ^ nx, 0) * v0 < 0)
+        expected = [{c ^ nx: v0 * (-1) ** (nz & c).bit_count()} for c in range(1 << k)]
+        if v0 not in (d, -d) or columns != expected:
+            raise ValueError(f"gate {name} is not Clifford: {(x, z)} maps to no signed Pauli string")
+        # i^|x&z| S X^x Z^z S^T = d * sign * i^|x'&z'| X^x' Z^z'; the image is
+        # Hermitian (S S^T = d I holds, checked first at x = z = 0), so the
+        # phase i^turn between the two is +-1
+        turn = ((nx & nz).bit_count() - (x & z).bit_count()) % 4
+        table.append((nx, nz, v0 // d * (1 - turn)))
     return table
 
 
@@ -105,7 +117,7 @@ def conjugate(paulis: PauliForm, gates) -> PauliForm:
             continue
         table = _TABLES.get(gate.name)
         if table is None:
-            table = _TABLES[gate.name] = _image_table(gate.name, gate.resolved_matrix())
+            table = _TABLES[gate.name] = _image_table(gate.name, gate.sign_matrix())
         keep = ~(local << low)
         acting &= keep
         for s in strings:

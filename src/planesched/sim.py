@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .circuits import GATE_MATRICES, DecodeTable, Gate, MeasCircuit, Schedule
+from .circuits import GATE_MATRICES, GATE_SIGNS, DecodeTable, Gate, MeasCircuit, Schedule
 from .universe import (
     DOWN,
     FAMILIES,
@@ -70,28 +70,8 @@ def _bit_reversal_permutation(m: int) -> np.ndarray:
     return rev
 
 
-def _signed_rows(mat: np.ndarray) -> tuple[float, tuple[tuple[tuple[int, int], ...], ...]]:
-    """A gate matrix as ``scale`` times a matrix of signs, row by row.
-
-    Rows and columns are reindexed little-endian (the gate's lowest qubit is
-    bit 0 of the local index); each row lists its nonzero entries as
-    (column, sign) pairs, a positive sign first when the row has one.
-    """
-    rev = _bit_reversal_permutation(mat.shape[0].bit_length() - 1)
-    local = mat[np.ix_(rev, rev)]
-    scale = float(np.abs(local).max())
-    signs = local / scale
-    if not np.all(np.isin(signs, (-1, 0, 1))):
-        raise ValueError("gate matrix is not a scaled matrix of signs")
-    rows = []
-    for row in signs.real.astype(int):
-        cols = np.flatnonzero(row)
-        rows.append(tuple(sorted(((int(c), int(row[c])) for c in cols), key=lambda e: -e[1])))
-    return scale, tuple(rows)
-
-
 # the name fixes the matrix, so each gate name's rows are built once
-_GATE_ROWS = {name: _signed_rows(mat) for name, mat in GATE_MATRICES.items()}
+_GATE_ROWS = {name: (m.scale, m.rows()) for name, m in GATE_SIGNS.items()}
 _ACCUMULATE = {1: np.add, -1: np.subtract}
 
 

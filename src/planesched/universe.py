@@ -29,14 +29,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cover import PairClique, build_cover
 from .gf import smallest_prime_at_least
 from .plane import point_code
 from .roundrobin import Round, build_rounds
+
+if TYPE_CHECKING:
+    import numpy as np
 
 UP, DOWN = 0, 1
 SPIN_NAMES = ("up", "down")
@@ -229,6 +230,8 @@ class Hamiltonian:
     g: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         n = self.n_orbitals
         self.h = np.asarray(self.h, dtype=float)
         self.g = np.asarray(self.g, dtype=float)
@@ -278,10 +281,15 @@ def _all_numbers(value) -> bool:
 
 def load_hamiltonian(path: str) -> Hamiltonian:
     """Read the JSON form: {n_orbitals, e_nuc, h, g} with nested row-major lists."""
+    import numpy as np
+
     with open(path) as f:
         data = json.load(f)
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    for key in ("n_orbitals", "e_nuc", "h", "g"):
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
     n, e_nuc = data["n_orbitals"], data["e_nuc"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"n_orbitals must be an integer, got {n!r}")
@@ -312,6 +320,8 @@ _G_SYMMETRY_AXES = [
 
 def random_hamiltonian(n: int, seed: int) -> Hamiltonian:
     """Random tensors with all required symmetries, for testing and demos."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(2, n, n))
     h = (h + h.transpose(0, 2, 1)) / 2
@@ -339,6 +349,8 @@ def decompose(ham: Hamiltonian) -> Decomposition:
     applied to c/2 times the anticommutator, which is f_ij X_i X_j + f_ji X_j X_i
     because pair exchange makes f_ij = f_ji.
     """
+    import numpy as np
+
     n = ham.n_orbitals
     pairs = [(p, q) for p in range(n) for q in range(p, n)]
     ps, qs = np.array(pairs).T

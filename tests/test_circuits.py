@@ -2,7 +2,8 @@
 
 import hashlib
 import json
-from functools import cache, partial
+import math
+from functools import cache, partial, reduce
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from planesched.circuits import (
     FSWAP3_MATRIX,
     FSWAP_EDGE_MATRIX,
     GATE_MATRICES,
+    GATE_SIGNS,
     DiagonalizationError,
     Gate,
     InvalidSwapError,
@@ -75,6 +77,33 @@ def test_parity_fswap_matches_occupation_oracle():
     assert np.allclose(FSWAP_EDGE_MATRIX, occupation_swap_oracle(2, boundary=True))
     for m in (FSWAP3_MATRIX, FSWAP_EDGE_MATRIX):
         assert np.allclose(m @ m.conj().T, np.eye(len(m)))
+
+
+def numpy_gate_matrices() -> dict[str, np.ndarray]:
+    """The gate matrices as built before the exact sign tables: Kronecker
+    sums of Paulis and a Hadamard divided by np.sqrt(2)."""
+    i2, x, z = np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    kron = partial(reduce, np.kron)
+    return {
+        "FSWAP2": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]],
+                           dtype=complex),
+        "FSWAP3": (kron([i2, x, i2]) - kron([z, x, z]) + kron([z, z, i2]) + kron([i2, z, z])) / 2,
+        "FSWAP_EDGE": (kron([x, i2]) - kron([x, z]) + kron([z, i2]) + kron([z, z])) / 2,
+        "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+        "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    }
+
+
+def test_lazy_gate_matrices_equal_the_numpy_construction():
+    reference = numpy_gate_matrices()
+    assert GATE_MATRICES.keys() == reference.keys() == GATE_SIGNS.keys()
+    for name, matrix in GATE_MATRICES.items():
+        assert matrix.dtype == complex and np.array_equal(matrix, reference[name]), name
+        assert not matrix.flags.writeable
+    assert GATE_MATRICES["H"][0, 0] == 1 / math.sqrt(2) != math.sqrt(0.5)
+    constants = (FSWAP2_MATRIX, FSWAP3_MATRIX, FSWAP_EDGE_MATRIX)
+    assert all(m is GATE_MATRICES[name]
+               for m, name in zip(constants, ("FSWAP2", "FSWAP3", "FSWAP_EDGE")))
 
 
 def test_map_fswap_placement():

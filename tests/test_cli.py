@@ -354,6 +354,17 @@ def test_estimate_rejects_malformed_hamiltonian(tmp_path, capsys, malformed):
     assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("key", ["n_orbitals", "e_nuc", "h", "g"])
+def test_estimate_names_a_missing_hamiltonian_key(tmp_path, capsys, key):
+    data = random_hamiltonian(2, seed=4).to_dict()
+    del data[key]
+    path = tmp_path / "ham.json"
+    path.write_text(json.dumps(data))
+    assert main(["estimate", "--hamiltonian", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot load Hamiltonian from {path}: missing key {key!r}\n"
+
+
 def test_estimate_rejects_negative_seed(tmp_path, capsys):
     ham_path = tmp_path / "ham.json"
     random_hamiltonian(2, seed=4).save(str(ham_path))
@@ -385,23 +396,35 @@ def test_estimate_rejects_zero_or_non_finite_amplitudes(tmp_path, capsys):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    """The CLI's commands use numpy only; scipy loads when the dense oracle
-    runs.  Pauli coefficients are integers, so ``fractions`` never loads."""
+    """``schedule``, ``verify`` and ``stats`` use the standard library only;
+    ``estimate`` loads numpy and ``sim``, and scipy loads when the dense
+    oracle runs.  Pauli coefficients are integers, so ``fractions`` never
+    loads."""
     ham_path = tmp_path / "ham.json"
     random_hamiltonian(2, seed=4).save(str(ham_path))
+    schedule_path = str(tmp_path / "s.json")
     script = f"""
 import contextlib, io, sys
+import planesched
 import planesched.cli as cli
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+numpy_free = lambda: "numpy" not in sys.modules and "planesched.sim" not in sys.modules
+assert numpy_free()
 assert not loaded(), loaded()
 assert "fractions" not in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (["schedule", "--orbitals", "3", "--out", {str(tmp_path / "s.json")!r}],
-                 ["verify", "--orbitals", "3"],
-                 ["estimate", "--hamiltonian", {str(ham_path)!r}],
+    for mapping in ("jw", "parity"):
+        for argv in (["schedule", "--orbitals", "3", "--out", {schedule_path!r}],
+                     ["verify", "--orbitals", "3"],
+                     ["verify", "--orbitals", "3", "--out", {schedule_path!r}],
+                     ["stats", "--orbitals", "3", "--grid"]):
+            assert cli.main(argv + ["--mapping", mapping]) == 0, argv
+assert numpy_free(), sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["estimate", "--hamiltonian", {str(ham_path)!r}],
                  ["estimate", "--hamiltonian", {str(ham_path)!r}, "--shots", "10"]):
         assert cli.main(argv) == 0, argv
-assert not loaded(), loaded()
+assert "numpy" in sys.modules and not loaded(), loaded()
 assert "fractions" not in sys.modules
 from planesched import sim, universe
 dense = sim.dense_hamiltonian(universe.random_hamiltonian(2, seed=4), "jw")

@@ -19,6 +19,7 @@ from planesched.circuits import (
     DecodeTable,
     DiagonalizationError,
     Gate,
+    SignMatrix,
     _decode_from_diagonal,
     emit_schedule,
 )
@@ -73,11 +74,13 @@ def test_conjugation_matches_scipy_oracle():
 
 
 def test_non_clifford_gate_rejected():
-    t_gate = SimpleNamespace(
-        name="T", qubits=(0,), resolved_matrix=lambda: np.diag([1, np.exp(0.25j * np.pi)])
-    )
+    # CCZ = diag(1, ..., 1, -1) fits the exact sign form but maps X on its
+    # first qubit to X (x) CZ, which is no Pauli string
+    ccz = SignMatrix(1.0, tuple(tuple(-1 if i == j == 7 else int(i == j) for j in range(8))
+                                for i in range(8)))
+    ccz_gate = SimpleNamespace(name="CCZ", qubits=(0, 1, 2), sign_matrix=lambda: ccz)
     with pytest.raises(ValueError, match="not Clifford"):
-        pauli.conjugate(pauli.operator_paulis(HoppingOp(0, 1, UP), "jw", 2), [t_gate])
+        pauli.conjugate(pauli.operator_paulis(HoppingOp(0, 1, UP), "jw", 2), [ccz_gate])
 
 
 def reference_image_table(name, matrix):
@@ -106,14 +109,30 @@ def reference_image_table(name, matrix):
 def test_image_table_matches_reference(name):
     matrix = circuits.GATE_MATRICES[name]
     k = matrix.shape[0].bit_length() - 1
-    table = pauli._image_table(name, matrix)
+    table = pauli._image_table(name, circuits.GATE_SIGNS[name])
     reference = reference_image_table(name, matrix)
     assert table == [reference[x, z] for x in range(1 << k) for z in range(1 << k)]
     assert all(type(v) is int for image in table for v in image)
 
 
+@pytest.mark.parametrize("signs", [
+    SignMatrix(1.0, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))),  # CZ
+    SignMatrix(1.0, ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))),  # SWAP
+    SignMatrix(0.5, ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))),  # H (x) H
+    SignMatrix(1.0, ((0, -1), (1, 0))),  # X Z = -iY, which flips the sign of X and of Z
+])
+def test_image_table_of_other_clifford_sign_matrices(signs):
+    """Sign matrices outside the gate set, whose images carry other phases."""
+    matrix = np.array(signs.signs, dtype=complex) * signs.scale
+    reference = reference_image_table("other", matrix)
+    k = len(signs.signs).bit_length() - 1
+    assert pauli._image_table("other", signs) == [
+        reference[x, z] for x in range(1 << k) for z in range(1 << k)]
+
+
 def test_gate_name_fixes_its_matrix_and_arity():
     assert Gate("FSWAP3", (2, 3, 4)).resolved_matrix() is circuits.FSWAP3_MATRIX
+    assert Gate("FSWAP3", (2, 3, 4)).sign_matrix() is circuits.GATE_SIGNS["FSWAP3"]
     for name, qubits in (("T", (0,)), ("FSWAP3", (2, 3)), ("CNOT", (1, 0)), ("FSWAP2", (0, 2))):
         with pytest.raises(ValueError):
             Gate(name, qubits)
