@@ -8,7 +8,7 @@ exact statevector oracles at small N.
 
 from .circuits import Schedule, emit, emit_schedule, schedule_json, write_schedule
 from .cover import build_cover, check_no_three_collinear, check_unique_tangent, place_s_points
-from .gf import Prime, smallest_prime_at_least
+from .gf import smallest_prime_at_least
 from .graphcheck import build_graph, lower_bound, verify_cover
 from .plane import build_plane
 from .roundrobin import build_rounds
@@ -42,7 +42,6 @@ __all__ = [
     "Hamiltonian",
     "HoppingOp",
     "MeasurementClique",
-    "Prime",
     "Schedule",
     "Universe",
     "build_cover",

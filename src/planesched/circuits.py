@@ -19,11 +19,10 @@ qubit below the pair because occupations are stored as cumulative parities;
 at the very first qubit the gate reduces to a 2-qubit form.
 
 Each gate name has one exact matrix, ``GATE_SIGNS``: a scale times an
-integer sign matrix.  Gate validation, the Pauli image tables and the
-schedule file's ``gate_matrices`` read it with no floating-point step.
-Complex numpy matrices (``GATE_MATRICES``, ``FSWAP*_MATRIX``) are built
-from it on first use, for the statevector simulator and the tests, so
-emitting, writing and checking a schedule never loads numpy.
+integer sign matrix, and the only description of a gate that any module
+reads.  Gate validation, the Pauli image tables, the schedule file's
+``gate_matrices`` and the statevector simulator's gate kernels all read it,
+so emitting, writing and checking a schedule never loads numpy.
 
 Every gate is Clifford, so decode tables are exact: the Pauli form of the
 operator that the swap network leaves on the sorted slots is conjugated
@@ -54,15 +53,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import zip_longest
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import pauli
 from .graphcheck import lower_bound
 from .swapnet import SwapNetwork, odd_even_sort, position_vector
 from .universe import SPIN_NAMES, UP, DOWN, HoppingOp, MeasurementClique, Universe
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class SignMatrix(NamedTuple):
@@ -109,31 +105,6 @@ GATE_SIGNS = {
     "H": SignMatrix(1 / math.sqrt(2), ((1, 1), (1, -1))),
 }
 
-_MATRIX_CONSTANTS = {"FSWAP2_MATRIX": "FSWAP2", "FSWAP3_MATRIX": "FSWAP3",
-                     "FSWAP_EDGE_MATRIX": "FSWAP_EDGE"}
-
-
-@cache
-def _gate_matrices() -> dict[str, np.ndarray]:
-    import numpy as np
-
-    matrices = {}
-    for name, m in GATE_SIGNS.items():
-        matrices[name] = matrix = np.array(m.signs, dtype=complex) * m.scale
-        matrix.flags.writeable = False  # shared by every caller
-    return matrices
-
-
-def __getattr__(attr: str):
-    """``GATE_MATRICES`` (gate name -> complex numpy matrix) and the
-    ``FSWAP*_MATRIX`` constants, built from ``GATE_SIGNS`` on first use so
-    that importing this module does not load numpy."""
-    if attr == "GATE_MATRICES":
-        return _gate_matrices()
-    if attr in _MATRIX_CONSTANTS:
-        return _gate_matrices()[_MATRIX_CONSTANTS[attr]]
-    raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")
-
 
 class InvalidSwapError(ValueError):
     """Fermionic swap requested across the spin-block boundary."""
@@ -160,9 +131,6 @@ class Gate:
 
     def sign_matrix(self) -> SignMatrix:
         return GATE_SIGNS[self.name]
-
-    def resolved_matrix(self) -> np.ndarray:
-        return _gate_matrices()[self.name]
 
 
 @dataclass(frozen=True)

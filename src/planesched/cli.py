@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -189,6 +190,8 @@ def _family_contributions(
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from . import sim as sim_mod  # numpy loads here, not for the other commands
 
     try:
@@ -216,28 +219,41 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         print(f"error: bad state spec {args.state!r}: {exc}", file=sys.stderr)
         return 2
     state = sim_mod.occupation_to_qubit_state(occ, args.mapping, 2 * n)
+    # an overflow is reported as one error line, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            decomposition = decompose(ham)
+        except ValueError as exc:
+            print(f"error: cannot decompose the Hamiltonian in {args.hamiltonian}: {exc}",
+                  file=sys.stderr)
+            return 1
+        if args.shots == 0:
+            grouped = sim_mod.terms_by_clique(schedule)
+            primitives = sim_mod.primitive_expectations(state, schedule, grouped)
+            report = sim_mod.assemble_report(primitives, schedule, ham, decomposition)
+            contributions = _family_contributions(primitives, schedule, decomposition, grouped)
+            energies = {f"energy_{family}": value for family, value in contributions.items()}
+            energies["energy"] = report.energy
+        else:
+            sampled = sim_mod.estimate_energy_sampled(
+                state, schedule, ham, args.shots, args.seed, decomposition
+            )
+            energies = {"energy": sampled.energy, "energy_stderr": sampled.stderr}
+            for family, value in sampled.family_stderr.items():
+                energies[f"energy_stderr_{family}"] = value
+    for key, value in energies.items():
+        if not math.isfinite(value):
+            print(f"error: {key} is {value}: the Hamiltonian's coefficients overflow a float",
+                  file=sys.stderr)
+            return 1
     print(f"orbitals: {n}")
     print(f"mapping: {args.mapping}")
     print(f"state: {args.state}")
-    if args.shots == 0:
-        decomposition = decompose(ham)
-        grouped = sim_mod.terms_by_clique(schedule)
-        primitives = sim_mod.primitive_expectations(state, schedule, grouped)
-        report = sim_mod.assemble_report(primitives, schedule, ham, decomposition)
-        contributions = _family_contributions(primitives, schedule, decomposition, grouped)
-        for family, value in contributions.items():
-            print(f"energy_{family}: {value:.12f}")
-        print(f"energy: {report.energy:.12f}")
-    else:
-        sampled = sim_mod.estimate_energy_sampled(
-            state, schedule, ham, args.shots, args.seed
-        )
+    if args.shots:
         print(f"shots_per_clique: {args.shots}")
         print(f"seed: {args.seed}")
-        print(f"energy: {sampled.energy:.12f}")
-        print(f"energy_stderr: {sampled.stderr:.12f}")
-        for family, value in sampled.family_stderr.items():
-            print(f"energy_stderr_{family}: {value:.12f}")
+    for key, value in energies.items():
+        print(f"{key}: {value:.12f}")
     return 0
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import Prime
 from .plane import (
     Triple,
     alpha_point,
@@ -43,10 +42,9 @@ class PairClique:
     flagged: bool
 
 
-def place_s_points(pi: int | Prime) -> list[Triple]:
+def place_s_points(pi: int) -> list[Triple]:
     """Label placement on the conic: S(k) = (1, k, k^2) for k < p, S(p) = alpha."""
-    p = int(pi)
-    return [gamma_point(k, (k * k) % p) for k in range(p)] + [alpha_point()]
+    return [gamma_point(k, (k * k) % pi) for k in range(pi)] + [alpha_point()]
 
 
 def tangent_line(pt: Triple, pi: int) -> Triple:
@@ -64,28 +62,27 @@ def vertex_line(v: Vertex, s: list[Triple]) -> Triple:
     return join(s[l], s[lp], pi)
 
 
-def build_cover(pi: int | Prime, n: int | None = None) -> list[PairClique]:
+def build_cover(pi: int, n: int | None = None) -> list[PairClique]:
     """One group per off-conic anchor, p^2 in total, in tuple order.
 
     Each index pair is appended to every off-conic point of its line.  With
     ``n`` below p + 1 (plane order above the label count), only pairs of
     labels below ``n`` are placed; the anchor count is unchanged.
     """
-    p = int(pi)
-    plane = build_plane(p)
+    plane = build_plane(pi)
     if n is None:
-        n = p + 1
-    if not 2 <= n <= p + 1:
-        raise ValueError(f"need 2 <= n <= {p + 1}, got {n}")
-    s = place_s_points(p)
+        n = pi + 1
+    if not 2 <= n <= pi + 1:
+        raise ValueError(f"need 2 <= n <= {pi + 1}, got {n}")
+    s = place_s_points(pi)
     # the anchors: every point (z, x, y) off the conic x^2 = yz
     groups: dict[Triple, list[Vertex]] = {
-        t: [] for t in plane if (t[1] * t[1] - t[0] * t[2]) % p
+        t: [] for t in plane if (t[1] * t[1] - t[0] * t[2]) % pi
     }
     # pairs are visited in sorted order, so every group's members are sorted
     for l in range(n):
         for lp in range(l, n):
-            for t in pencil(vertex_line((l, lp), s), p):
+            for t in pencil(vertex_line((l, lp), s), pi):
                 if t in groups:
                     groups[t].append((l, lp))
     return [
@@ -98,20 +95,18 @@ def _labels_on(line: Triple, s: list[Triple], pi: int) -> list[int]:
     return [k for k, pt in enumerate(s) if incident(pt, line, pi)]
 
 
-def check_no_three_collinear(pi: int | Prime) -> bool:
+def check_no_three_collinear(pi: int) -> bool:
     """Exhaustive scan: no line carries three or more placed labels."""
-    p = int(pi)
-    s = place_s_points(p)
-    return all(len(_labels_on(line, s, p)) <= 2 for line in build_plane(p))
+    s = place_s_points(pi)
+    return all(len(_labels_on(line, s, pi)) <= 2 for line in build_plane(pi))
 
 
-def check_unique_tangent(pi: int | Prime) -> bool:
+def check_unique_tangent(pi: int) -> bool:
     """Exhaustive scan: every placed label has exactly one tangent line."""
-    p = int(pi)
-    s = place_s_points(p)
+    s = place_s_points(pi)
     tangents = [0] * len(s)
-    for line in build_plane(p):
-        on = _labels_on(line, s, p)
+    for line in build_plane(pi):
+        on = _labels_on(line, s, pi)
         if len(on) == 1:
             tangents[on[0]] += 1
     return tangents == [1] * len(s)

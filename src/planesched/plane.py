@@ -18,7 +18,7 @@ that schedule files store.
 
 from __future__ import annotations
 
-from .gf import Prime, inverse_mod
+from .gf import inverse_mod, is_prime
 
 Triple = tuple[int, int, int]
 
@@ -91,16 +91,17 @@ def pencil(v: Triple, pi: int) -> list[Triple]:
     return sorted(out)
 
 
-def build_plane(pi: int | Prime) -> tuple[Triple, ...]:
+def build_plane(pi: int) -> tuple[Triple, ...]:
     """All pi^2 + pi + 1 triples of the plane of prime order pi, in tuple order.
 
     Each triple names a point and, by duality, a line.
     """
-    p = int(Prime(int(pi)))
+    if not is_prime(pi):
+        raise ValueError(f"not a prime: {pi}")
     return (
         (alpha_point(),)
-        + tuple(beta_point(m) for m in range(p))
-        + tuple(gamma_point(x, y) for x in range(p) for y in range(p))
+        + tuple(beta_point(m) for m in range(pi))
+        + tuple(gamma_point(x, y) for x in range(pi) for y in range(pi))
     )
 
 

@@ -1,11 +1,11 @@
 """Exact statevector simulation: ground truth for circuits, decoding and energies.
 
 Basis convention: a computational basis index packs qubit j as bit j (qubit 0
-least significant).  Gate matrices follow the circuit convention (first
-listed qubit is the most significant bit of the matrix index).  Fermionic
-states are specified in occupation-number terms over modes in up-then-down
-order and reindexed per mapping: Jordan-Wigner stores occupations directly,
-parity stores their running XOR.
+least significant).  Gates are read little-endian too, through
+``SignMatrix.rows()``: bit i of a local index is the i-th listed qubit.
+Fermionic states are specified in occupation-number terms over modes in
+up-then-down order and reindexed per mapping: Jordan-Wigner stores
+occupations directly, parity stores their running XOR.
 
 A circuit is applied a run of gates at a time.  Every gate but H (FSWAP2,
 FSWAP3, FSWAP_EDGE, CNOT) is a signed permutation, so a run of them is one
@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .circuits import GATE_MATRICES, GATE_SIGNS, DecodeTable, Gate, MeasCircuit, Schedule
+from .circuits import GATE_SIGNS, DecodeTable, Gate, MeasCircuit, Schedule
 from .universe import (
     DOWN,
     FAMILIES,
@@ -62,17 +62,21 @@ def check_size(n_qubits: int) -> None:
 # ---------------------------------------------------------------------------
 # state vectors and gate application
 
-def _bit_reversal_permutation(m: int) -> np.ndarray:
-    idx = np.arange(1 << m)
-    rev = np.zeros_like(idx)
-    for b in range(m):
-        rev |= ((idx >> b) & 1) << (m - 1 - b)
-    return rev
-
-
 # the name fixes the matrix, so each gate name's rows are built once
 _GATE_ROWS = {name: (m.scale, m.rows()) for name, m in GATE_SIGNS.items()}
 _ACCUMULATE = {1: np.add, -1: np.subtract}
+
+
+@cache
+def _gate_matrix(name: str) -> np.ndarray:
+    """A gate's complex matrix from its rows, indexed little-endian (read-only)."""
+    scale, rows = _GATE_ROWS[name]
+    matrix = np.zeros((len(rows), len(rows)), dtype=complex)
+    for r, row in enumerate(rows):
+        for c, sign in row:
+            matrix[r, c] = sign * scale
+    matrix.flags.writeable = False  # shared by every caller
+    return matrix
 
 
 def apply_gate(state: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
@@ -188,7 +192,7 @@ def _apply_permutations(psi: np.ndarray, gates: tuple[Gate, ...], n_qubits: int)
 def _hadamards(mask: int, pairs: bool) -> np.ndarray:
     """H on each set bit of ``mask`` and I on the bits below its top one, as
     one real little-endian matrix; with ``pairs``, also I on each (re, im)."""
-    factors = [GATE_MATRICES["H"].real if mask >> j & 1 else np.eye(2)
+    factors = [_gate_matrix("H").real if mask >> j & 1 else np.eye(2)
                for j in reversed(range(mask.bit_length()))]
     matrix = reduce(np.kron, factors + [np.eye(2)] * pairs)
     matrix.flags.writeable = False  # shared by every caller
@@ -541,15 +545,17 @@ def estimate_energy_sampled(
     ham: Hamiltonian,
     shots: int,
     seed: int,
+    decomposition: Decomposition | None = None,
 ) -> SampledEnergy:
     """Shot-based energy estimate with its standard error.
 
     Each clique gets ``shots`` samples; clique contributions are independent,
     so their variances add, in total and within each family (every clique
-    belongs to one).
+    belongs to one).  ``decomposition`` is ``decompose(ham)``, computed here
+    if not given.
     """
     nq = 2 * schedule.n
-    const, coeffs = decompose(ham)
+    const, coeffs = decomposition if decomposition is not None else decompose(ham)
     grouped = terms_by_clique(schedule)
     vector = _value_vectors(nq)
     energy = const
@@ -579,19 +585,13 @@ def estimate_energy_sampled(
 # whole-circuit dense conjugation: the test oracle for the exact tripwire in circuits
 
 def embed_gate(gate: Gate, n_qubits: int) -> sp.csr_matrix:
-    """Sparse full-space matrix of a gate on contiguous ascending qubits."""
+    """Sparse full-space matrix of a gate (its qubits are contiguous and ascending)."""
     import scipy.sparse as sp
 
-    qs = gate.qubits
-    m = len(qs)
-    if list(qs) != list(range(qs[0], qs[0] + m)):
-        raise ValueError(f"gate qubits not contiguous ascending: {qs}")
-    mat = np.asarray(gate.resolved_matrix())
-    rev = _bit_reversal_permutation(m)
-    local = mat[np.ix_(rev, rev)]  # listed msb-first -> little-endian
-    low = sp.identity(1 << qs[0], dtype=complex, format="csr")
-    high = sp.identity(1 << (n_qubits - qs[0] - m), dtype=complex, format="csr")
-    return sp.kron(high, sp.kron(sp.csr_matrix(local), low)).tocsr()
+    q0, local = gate.qubits[0], sp.csr_matrix(_gate_matrix(gate.name))
+    low = sp.identity(1 << q0, dtype=complex, format="csr")
+    high = sp.identity(1 << (n_qubits - q0 - len(gate.qubits)), dtype=complex, format="csr")
+    return sp.kron(high, sp.kron(local, low)).tocsr()
 
 
 def conjugate_by_circuit(op: sp.csr_matrix, gates, n_qubits: int) -> sp.csr_matrix:

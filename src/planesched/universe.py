@@ -28,6 +28,7 @@ pair.  Same-spin products that share an index reduce with four identities,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -163,7 +164,7 @@ def build_universe(n: int) -> Universe:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    pi = int(smallest_prime_at_least(max(2, n - 1)))
+    pi = smallest_prime_at_least(max(2, n - 1))
     rounds = build_rounds(n)
     anchor_groups = build_cover(pi, n)
     cliques: list[MeasurementClique] = []
@@ -249,7 +250,8 @@ class Hamiltonian:
             ("g[s,t,p,q,r,u] == g[t,s,r,u,p,q]", self.g, self.g.transpose(1, 0, 4, 5, 2, 3)),
         ]
         for name, a, b in checks:
-            err = float(np.max(np.abs(a - b))) if a.size else 0.0
+            with np.errstate(over="ignore"):  # an overflow is an infinite error
+                err = float(np.max(np.abs(a - b))) if a.size else 0.0
             if err > SYMMETRY_TOL:
                 raise ValueError(f"coefficient symmetry violated: {name} (max error {err:.3e})")
 
@@ -387,4 +389,8 @@ def decompose(ham: Hamiltonian) -> Decomposition:
                     xz = HoppingOp(*sorted(a.indices ^ b.indices), s)
                     bump(c / 2, xz)
                     bump(-c, HoppingOp(y, y, s), xz)
+    # a sum of finite entries can overflow; an infinity never cancels back to a finite value
+    if not all(math.isfinite(v) for v in coeff.values()):
+        raise ValueError("a decomposition coefficient is not finite: "
+                         "sums of the entries of h and g overflow a float")
     return ham.e_nuc, {k: v for k, v in coeff.items() if v != 0.0}

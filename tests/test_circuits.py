@@ -9,10 +9,6 @@ import numpy as np
 import pytest
 
 from planesched.circuits import (
-    FSWAP2_MATRIX,
-    FSWAP3_MATRIX,
-    FSWAP_EDGE_MATRIX,
-    GATE_MATRICES,
     GATE_SIGNS,
     DiagonalizationError,
     Gate,
@@ -33,8 +29,13 @@ from planesched.cli import main
 from planesched.universe import DOWN, SPIN_NAMES, UP, HoppingOp, build_universe
 
 
+def gate_matrix(name: str) -> np.ndarray:
+    """A gate's complex matrix from ``GATE_SIGNS``, first listed qubit most significant."""
+    return np.array(GATE_SIGNS[name].signs, dtype=complex) * GATE_SIGNS[name].scale
+
+
 def test_jw_fswap_action():
-    m = FSWAP2_MATRIX
+    m = gate_matrix("FSWAP2")
     assert np.allclose(m @ m.conj().T, np.eye(4))
     assert np.allclose(m, m.conj().T)
     assert np.allclose(m @ m, np.eye(4))
@@ -73,9 +74,9 @@ def occupation_swap_oracle(n_bits: int, boundary: bool) -> np.ndarray:
 
 
 def test_parity_fswap_matches_occupation_oracle():
-    assert np.allclose(FSWAP3_MATRIX, occupation_swap_oracle(3, boundary=False))
-    assert np.allclose(FSWAP_EDGE_MATRIX, occupation_swap_oracle(2, boundary=True))
-    for m in (FSWAP3_MATRIX, FSWAP_EDGE_MATRIX):
+    assert np.allclose(gate_matrix("FSWAP3"), occupation_swap_oracle(3, boundary=False))
+    assert np.allclose(gate_matrix("FSWAP_EDGE"), occupation_swap_oracle(2, boundary=True))
+    for m in map(gate_matrix, ("FSWAP3", "FSWAP_EDGE")):
         assert np.allclose(m @ m.conj().T, np.eye(len(m)))
 
 
@@ -94,16 +95,13 @@ def numpy_gate_matrices() -> dict[str, np.ndarray]:
     }
 
 
-def test_lazy_gate_matrices_equal_the_numpy_construction():
+def test_gate_signs_equal_the_numpy_construction():
     reference = numpy_gate_matrices()
-    assert GATE_MATRICES.keys() == reference.keys() == GATE_SIGNS.keys()
-    for name, matrix in GATE_MATRICES.items():
-        assert matrix.dtype == complex and np.array_equal(matrix, reference[name]), name
-        assert not matrix.flags.writeable
-    assert GATE_MATRICES["H"][0, 0] == 1 / math.sqrt(2) != math.sqrt(0.5)
-    constants = (FSWAP2_MATRIX, FSWAP3_MATRIX, FSWAP_EDGE_MATRIX)
-    assert all(m is GATE_MATRICES[name]
-               for m, name in zip(constants, ("FSWAP2", "FSWAP3", "FSWAP_EDGE")))
+    assert reference.keys() == GATE_SIGNS.keys()
+    for name, (scale, signs) in GATE_SIGNS.items():
+        assert all(type(s) is int for row in signs for s in row), name
+        assert np.array_equal(np.array(signs) * scale, reference[name]), name
+    assert GATE_SIGNS["H"].scale == 1 / math.sqrt(2) != math.sqrt(0.5)
 
 
 def test_map_fswap_placement():
@@ -296,7 +294,7 @@ def v1_chunks(schedule):
     """Reference encoder: the version-1 writer, every gate written as an
     object and each FSWAP gate with its matrix inline."""
     matrix_text = cache(lambda name: _v1_dumps(
-        [[float(v.real), float(v.imag)] for v in GATE_MATRICES[name].reshape(-1)]))
+        [[float(v.real), float(v.imag)] for v in gate_matrix(name).reshape(-1)]))
 
     def encode_gate(gate):
         members = {"name": _v1_dumps(gate.name), "qubits": _v1_dumps(gate.qubits)}
@@ -464,10 +462,10 @@ def test_schedule_matrices_serialized_as_pairs():
         assert set(data["gate_matrices"]) == fswaps
         for name, pairs in data["gate_matrices"].items():
             # row-major [re, im] pairs: 64 for FSWAP3, 16 for the 2-qubit swaps
-            assert len(pairs) == GATE_MATRICES[name].size
+            assert len(pairs) == gate_matrix(name).size
             assert all(len(entry) == 2 for entry in pairs)
             matrix = np.array([complex(*entry) for entry in pairs])
-            assert np.array_equal(matrix, GATE_MATRICES[name].reshape(-1))
+            assert np.array_equal(matrix, gate_matrix(name).reshape(-1))
 
 
 def test_qubit_index_convention():

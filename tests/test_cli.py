@@ -1,5 +1,6 @@
 """Command-line behavior: stats, verification, estimation, exit codes."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -284,10 +285,12 @@ def test_grid_output_is_pinned(capsys, n):
     assert grid_part == grid
 
 
-def assert_one_line_error(capsys) -> None:
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.startswith("error: ") and err.count("\n") == 1
+def assert_one_line_error(capsys, stdout: str | None = None) -> None:
+    """One ``error:`` line on stderr; with ``stdout``, stdout must equal it."""
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert stdout is None or captured.out == stdout
 
 
 def test_estimate_rejects_non_finite_hamiltonian(tmp_path, capsys):
@@ -344,7 +347,10 @@ TOO_BIG = 10**400  # an exact JSON integer beyond float range
     {"h": np.full((2, 2, 2), True).tolist()},
     {"g": np.full((2,) * 6, False).tolist()},
     {"h": np.full((2, 2, 2), "0.5").tolist()},
+    # h[0, 1] - h[1, 0] overflows a float
+    {"h": [[[0.0, 1e308], [-1e308, 0.0]]] * 2},
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's would print to stderr
 def test_estimate_rejects_malformed_hamiltonian(tmp_path, capsys, malformed):
     data = random_hamiltonian(2, seed=4).to_dict()
     data = [data] if malformed == "list" else {**data, **malformed}
@@ -363,6 +369,51 @@ def test_estimate_names_a_missing_hamiltonian_key(tmp_path, capsys, key):
     assert main(["estimate", "--hamiltonian", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: cannot load Hamiltonian from {path}: missing key {key!r}\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's would print to stderr
+@pytest.mark.parametrize("h_entry", [1e308, 5e307])
+def test_estimate_rejects_an_overflowing_hamiltonian(tmp_path, capsys, h_entry):
+    """Finite entries whose sums overflow: h + h^T is infinite at 1e308; at
+    5e307 the coefficients are finite, but the sampled terms' sum is not."""
+    data = random_hamiltonian(2, seed=4).to_dict()
+    data["h"] = np.full((2, 2, 2), h_entry).tolist()
+    data["g"] = np.zeros((2,) * 6).tolist()
+    path = tmp_path / "ham.json"
+    path.write_text(json.dumps(data))
+    args = ["estimate", "--hamiltonian", str(path)]
+    for extra in ([], ["--shots", "10"]):
+        if h_entry == 1e308 or extra:
+            assert main(args + extra) == 1, extra
+            assert_one_line_error(capsys, stdout="")
+        else:  # a huge energy that is a float is still printed
+            code, out = run(capsys, *args)
+            assert code == 0 and float(parse_stats(out)["energy"]) > 1e307
+
+
+def test_schedule_to_a_missing_directory_exits_one(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "s.json"
+    assert main(["schedule", "--orbitals", "3", "--out", str(out_path)]) == 1
+    assert_one_line_error(capsys, stdout="")
+
+
+def test_estimate_orbitals_mismatch_exits_two(tmp_path, capsys):
+    path = tmp_path / "ham.json"
+    random_hamiltonian(2, seed=4).save(str(path))
+    assert main(["estimate", "--hamiltonian", str(path), "--orbitals", "3"]) == 2
+    assert_one_line_error(capsys, stdout="")
+
+
+def test_traced_cli_hooks_resolve(monkeypatch):
+    """Every function the traced benchmark wraps is still where it looks."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    traced_cli = importlib.import_module("traced_cli")
+    sites = [site for table in (traced_cli.SPANS, traced_cli.COUNTED)
+             for sites in table.values() for site in sites]
+    assert sites
+    missing = [f"{module}.{attr}" for module, attr in sites
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert not missing, missing
 
 
 def test_estimate_rejects_negative_seed(tmp_path, capsys):

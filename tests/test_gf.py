@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from planesched.gf import Prime, inverse_mod, is_prime, smallest_prime_at_least
+from planesched.gf import inverse_mod, is_prime, smallest_prime_at_least
+from planesched.plane import build_plane
 
 PRIMES_TO_47 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -28,10 +29,10 @@ def test_inverse_of_zero_raises():
 
 
 def test_prime_validation():
-    with pytest.raises(ValueError):
-        Prime(9)
-    with pytest.raises(ValueError):
-        Prime(1)
+    with pytest.raises(ValueError, match="not a prime"):
+        build_plane(9)
+    with pytest.raises(ValueError, match="not a prime"):
+        build_plane(1)
     assert not is_prime(1) and is_prime(2) and not is_prime(49)
 
 
@@ -42,11 +43,11 @@ def test_smallest_prime_at_least_against_scan():
             p += 1
         return p
 
-    assert int(smallest_prime_at_least(5)) == 5
-    assert int(smallest_prime_at_least(9)) == scan(9) == 11
-    assert int(smallest_prime_at_least(2)) == 2
+    assert smallest_prime_at_least(5) == 5
+    assert smallest_prime_at_least(9) == scan(9) == 11
+    assert smallest_prime_at_least(2) == 2
     for n in range(2, 80):
-        assert int(smallest_prime_at_least(n)) == scan(n)
+        assert type(smallest_prime_at_least(n)) is int and smallest_prime_at_least(n) == scan(n)
     with pytest.raises(ValueError):
         smallest_prime_at_least(1)
 

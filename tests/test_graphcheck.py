@@ -18,7 +18,7 @@ from planesched.plane import beta_point
 
 
 def plane_order(n: int) -> int:
-    return int(smallest_prime_at_least(max(2, n - 1)))
+    return smallest_prime_at_least(max(2, n - 1))
 
 
 def test_vertex_and_edge_counts():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planesched import sim
-from planesched.circuits import GATE_MATRICES, DecodeTable, Gate, emit_schedule
+from planesched.circuits import GATE_SIGNS, DecodeTable, Gate, emit_schedule
 from planesched.sim import (
     SizeLimitError,
     annihilation_operator,
@@ -50,8 +50,8 @@ def test_apply_gate_matches_sparse_embedding():
     nq = 8
     state = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
     state /= np.linalg.norm(state)
-    for name, mat in GATE_MATRICES.items():
-        width = mat.shape[0].bit_length() - 1
+    for name, m in GATE_SIGNS.items():
+        width = len(m.signs).bit_length() - 1
         for first in range(nq - width + 1):
             gate = Gate(name, tuple(range(first, first + width)))
             via_rows = apply_gate(state, gate, nq)
@@ -68,6 +68,21 @@ def test_apply_gate_matches_sparse_embedding():
         via_matrices = embed_gate(g, nq) @ via_matrices
     assert np.allclose(via_rows, via_matrices)
     assert abs(np.linalg.norm(via_rows) - 1) < 1e-12
+
+
+def test_gate_matrices_are_the_sign_tables_read_little_endian():
+    """``sim`` reads every gate little-endian, bit i the i-th listed qubit;
+    ``GATE_SIGNS`` lists the first qubit as the most significant bit."""
+    for name, (scale, signs) in GATE_SIGNS.items():
+        k = len(signs).bit_length() - 1
+        rev = [sum((i >> b & 1) << (k - 1 - b) for b in range(k)) for i in range(1 << k)]
+        big_endian = np.array(signs, dtype=complex) * scale
+        local = sim._gate_matrix(name)
+        assert np.array_equal(local, big_endian[np.ix_(rev, rev)]), name
+        assert not local.flags.writeable
+        gate = Gate(name, tuple(range(1, 1 + k)))
+        assert np.array_equal(embed_gate(gate, k + 2).toarray(),
+                              np.kron(np.eye(2), np.kron(local, np.eye(2)))), name
 
 
 def gate_by_gate(state: np.ndarray, gates, n_qubits: int) -> np.ndarray:
@@ -96,8 +111,8 @@ def test_apply_circuit_matches_gate_by_gate_on_any_gate_list(data):
     nq = data.draw(st.integers(2, 10), label="n_qubits")
     legal = [
         Gate(name, tuple(range(first, first + width)))
-        for name, mat in GATE_MATRICES.items()
-        for width in [mat.shape[0].bit_length() - 1]
+        for name, m in GATE_SIGNS.items()
+        for width in [len(m.signs).bit_length() - 1]
         for first in range(nq - width + 1)
     ]
     gates = data.draw(st.lists(st.sampled_from(legal), max_size=16), label="gates")

@@ -229,6 +229,15 @@ def test_decompose_coefficients_cover_only_measurable_terms():
         assert set(coeffs) <= measurable
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decompose_rejects_a_coefficient_that_overflows():
+    # each entry is a float, but h + h^T and the g sums are not
+    for h, g in ((1e308, 0.0), (0.0, 1e308)):
+        ham = Hamiltonian(2, 0.0, np.full((2, 2, 2), h), np.full((2,) * 6, g))
+        with pytest.raises(ValueError, match="not finite"):
+            decompose(ham)
+
+
 def reference_decompose(ham):
     """The ordered-index expansion that ``decompose`` replaced: every entry
     of g over all 4N^4 index orders, the overlapping same-spin products
