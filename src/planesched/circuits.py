@@ -49,11 +49,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import zip_longest
-from typing import NamedTuple
 
 from . import pauli
 from .graphcheck import lower_bound
@@ -61,13 +60,12 @@ from .swapnet import SwapNetwork, odd_even_sort, position_vector
 from .universe import SPIN_NAMES, UP, DOWN, HoppingOp, MeasurementClique, Universe
 
 
-class SignMatrix(NamedTuple):
-    """A gate's matrix exactly: ``scale`` times the integer matrix ``signs``,
-    rows and columns indexed with the first listed qubit as the most
-    significant bit."""
+class SignMatrix(namedtuple("SignMatrix", ["scale", "signs"])):
+    """A gate's matrix exactly: ``scale`` (a float) times the integer matrix
+    ``signs`` (a tuple of rows), rows and columns indexed with the first
+    listed qubit as the most significant bit."""
 
-    scale: float
-    signs: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each row's nonzero entries as (column, sign) pairs, a positive sign
@@ -114,43 +112,57 @@ class DiagonalizationError(RuntimeError):
     """A clique operator failed to conjugate to diagonal form."""
 
 
-@dataclass(frozen=True, eq=False)
 class Gate:
-    """A named gate; the name fixes the matrix (``GATE_SIGNS``)."""
+    """A named gate on ``qubits``; the name fixes the matrix (``GATE_SIGNS``).
+
+    Immutable, and equal only to itself: emission shares one per
+    ``(name, qubits)``.
+    """
+
+    __slots__ = ("name", "qubits")
 
     name: str
     qubits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        fixed = GATE_SIGNS.get(self.name)
+    def __init__(self, name: str, qubits: tuple[int, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "qubits", qubits)
+        fixed = GATE_SIGNS.get(name)
         if fixed is None:
-            raise ValueError(f"unknown gate: {self.name!r}")
-        first, k = self.qubits[0], len(fixed.signs).bit_length() - 1
-        if self.qubits != tuple(range(first, first + k)):
-            raise ValueError(f"{self.name} needs {k} contiguous ascending qubits: {self}")
+            raise ValueError(f"unknown gate: {name!r}")
+        first, k = qubits[0], len(fixed.signs).bit_length() - 1
+        if qubits != tuple(range(first, first + k)):
+            raise ValueError(f"{name} needs {k} contiguous ascending qubits: {self}")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: a Gate is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: a Gate is immutable")
+
+    def __repr__(self) -> str:
+        return f"Gate(name={self.name!r}, qubits={self.qubits!r})"
 
     def sign_matrix(self) -> SignMatrix:
         return GATE_SIGNS[self.name]
 
 
-@dataclass(frozen=True)
-class DecodeTable:
+class DecodeTable(namedtuple("DecodeTable", ["qubits", "values"])):
     """Eigenvalue lookup for one clique operator after its circuit.
 
-    ``values[i]`` is the eigenvalue for the support bits packed with the
+    ``values[i]`` is the eigenvalue for the ``qubits`` bits packed with the
     first listed qubit as the most significant bit.
     """
 
-    qubits: tuple[int, ...]
-    values: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MeasCircuit:
-    gates: tuple[Gate, ...]
-    depth: int
-    decode: dict[HoppingOp, DecodeTable]
-    permutations: dict[int, tuple[int, ...]]  # spin -> mode permutation
+class MeasCircuit(namedtuple("MeasCircuit", ["gates", "depth", "decode", "permutations"])):
+    """One clique's circuit: the ``gates`` tuple, its ``depth``, a
+    ``DecodeTable`` per clique operator (``decode``) and, per spin, the mode
+    permutation its swap network realizes (``permutations``)."""
+
+    __slots__ = ()
 
     @property
     def gate_count(self) -> int:
@@ -237,12 +249,16 @@ def _decode(form: frozenset, support: tuple[int, ...], is_number: bool) -> Decod
 
 
 def _decode_from_diagonal(
-    support: tuple[int, ...], paulis: pauli.PauliForm, is_number: bool, what: str
+    support: tuple[int, ...], paulis: pauli.PauliForm, is_number: bool, *what
 ) -> DecodeTable:
-    """Decode table of a conjugated operator that must be diagonal on ``support``."""
+    """Decode table of a conjugated operator that must be diagonal on ``support``.
+
+    ``what`` names the operator in the error, its parts joined by spaces; the
+    text is built only when there is an error.
+    """
     decoded = _decode(frozenset(paulis.items()), support, is_number)
     if isinstance(decoded, str):
-        raise DiagonalizationError(f"{what}: {decoded}")
+        raise DiagonalizationError(f"{' '.join(map(str, what))}: {decoded}")
     return decoded
 
 
@@ -255,7 +271,7 @@ def _sorted_decode(
     local = pauli.operator_paulis(sorted_op, mapping, n)
     rotated = pauli.conjugate(local, _rotation_layer(m_up, m_down, mapping, n))
     return _decode_from_diagonal(
-        pauli.support(local), rotated, sorted_op.is_number, f"{sorted_op} on its sorted slots"
+        pauli.support(local), rotated, sorted_op.is_number, sorted_op, "on its sorted slots"
     )
 
 
@@ -305,14 +321,15 @@ SCHEDULE_VERSION = 2
 _SERIALIZED_MATRICES = {"FSWAP2", "FSWAP3", "FSWAP_EDGE"}
 
 
-@dataclass
 class Schedule:
     """All emitted circuits for one universe and mapping."""
 
-    n: int
-    mapping: str
-    universe: Universe
-    circuits: list[MeasCircuit]
+    def __init__(self, n: int, mapping: str, universe: Universe,
+                 circuits: list[MeasCircuit]) -> None:
+        self.n = n
+        self.mapping = mapping
+        self.universe = universe
+        self.circuits = circuits
 
     def stats(self) -> dict:
         depths = [c.depth for c in self.circuits]
@@ -349,17 +366,19 @@ def conjugation_problems(schedule: Schedule) -> list[str]:
     problems: list[str] = []
     for mc, circ in zip(schedule.universe.cliques, schedule.circuits):
         for op in mc.ops:
-            table, what = circ.decode[op], f"clique {mc.id} {op}"
+            table = circ.decode[op]
             full = pauli.operator_paulis(op, schedule.mapping, schedule.n)
             try:
                 got = _decode_from_diagonal(
-                    table.qubits, pauli.conjugate(full, circ.gates), op.is_number, what
+                    table.qubits, pauli.conjugate(full, circ.gates), op.is_number,
+                    "clique", mc.id, op,
                 )
             except DiagonalizationError as exc:
                 problems.append(str(exc))
                 continue
             if got != table:
-                problems.append(f"{what}: decodes to {got.values}, table says {table.values}")
+                problems.append(f"clique {mc.id} {op}: decodes to {got.values}, "
+                                f"table says {table.values}")
     return problems
 
 
@@ -372,13 +391,21 @@ def _op_to_list(op: HoppingOp) -> list:
     return [op.p, op.q, SPIN_NAMES[op.spin]]
 
 
-_dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+# json.dumps(value, sort_keys=True, separators=(",", ":")) without building
+# an encoder per call
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+@cache
+def _member_key(key: str) -> str:
+    """A member's encoded ``"key":`` prefix."""
+    return _dumps(key) + ":"
 
 
 def _object(members: dict[str, str]) -> str:
     """A JSON object from already encoded member values, keys in the order
     ``json.dumps(sort_keys=True)`` gives them."""
-    return "{" + ",".join(f"{_dumps(k)}:{v}" for k, v in sorted(members.items())) + "}"
+    return "{" + ",".join([_member_key(k) + v for k, v in sorted(members.items())]) + "}"
 
 
 def _schedule_chunks(schedule: Schedule) -> Iterator[str]:

@@ -13,7 +13,7 @@ exactly the simultaneously measurable same-spin sets used by the scheduler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .plane import (
     Triple,
@@ -29,17 +29,14 @@ from .plane import (
 Vertex = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PairClique:
-    """Index pairs attached to one anchor point.
+class PairClique(namedtuple("PairClique", ["anchor", "members", "flagged"])):
+    """Index pairs (``members``) attached to one ``anchor`` point.
 
     ``flagged`` marks groups left with fewer than two members after index
     truncation; they are retained so the group count stays exactly p^2.
     """
 
-    anchor: Triple
-    members: tuple[Vertex, ...]
-    flagged: bool
+    __slots__ = ()
 
 
 def place_s_points(pi: int) -> list[Triple]:

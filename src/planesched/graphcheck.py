@@ -10,7 +10,7 @@ their count (n-1)^2 comes to the minimum possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .cover import PairClique, Vertex
 
@@ -32,11 +32,11 @@ def _edge(a: Vertex, b: Vertex) -> tuple[Vertex, Vertex]:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    vertices: tuple[Vertex, ...]
-    edges: frozenset[tuple[Vertex, Vertex]]
+class Graph(namedtuple("Graph", ["n", "vertices", "edges"])):
+    """The commutation graph on ``n`` labels: its ``vertices`` and its
+    ``edges``, a frozenset of (a, b) pairs with a < b."""
+
+    __slots__ = ()
 
     @property
     def pair_vertices(self) -> tuple[Vertex, ...]:
@@ -61,14 +61,20 @@ def build_graph(n: int) -> Graph:
     return Graph(n, vertices, frozenset(edges))
 
 
-@dataclass
 class CoverReport:
     """Outcome of checking anchor groups against the graph."""
 
-    complete: bool
-    clique_violations: list[tuple[int, Vertex, Vertex]] = field(default_factory=list)
-    uncovered: list[tuple[Vertex, Vertex]] = field(default_factory=list)
-    multiplicity: dict[tuple[Vertex, Vertex], int] = field(default_factory=dict)
+    def __init__(
+        self,
+        complete: bool,
+        clique_violations: list[tuple[int, Vertex, Vertex]] | None = None,
+        uncovered: list[tuple[Vertex, Vertex]] | None = None,
+        multiplicity: dict[tuple[Vertex, Vertex], int] | None = None,
+    ) -> None:
+        self.complete = complete
+        self.clique_violations = [] if clique_violations is None else clique_violations
+        self.uncovered = [] if uncovered is None else uncovered
+        self.multiplicity = {} if multiplicity is None else multiplicity
 
     @property
     def ok(self) -> bool:

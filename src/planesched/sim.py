@@ -20,7 +20,6 @@ the per-gate reference the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from itertools import groupby
 from operator import or_
@@ -409,7 +408,6 @@ def dense_hamiltonian(ham: Hamiltonian, mapping: str) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 # expectation estimation through the schedule
 
-@dataclass
 class ExpectationReport:
     """Hopping-basis expectations: values of A(p,q,s) and their products.
 
@@ -418,10 +416,17 @@ class ExpectationReport:
     hopping-operator expectations the estimates were assembled from.
     """
 
-    one_body: dict[HoppingOp, float]
-    two_body: dict[TermKey, float]
-    primitives: dict[TermKey, float]
-    energy: float | None = None
+    def __init__(
+        self,
+        one_body: dict[HoppingOp, float],
+        two_body: dict[TermKey, float],
+        primitives: dict[TermKey, float],
+        energy: float | None = None,
+    ) -> None:
+        self.one_body = one_body
+        self.two_body = two_body
+        self.primitives = primitives
+        self.energy = energy
 
 
 def decode_value_vector(table: DecodeTable, n_qubits: int) -> np.ndarray:

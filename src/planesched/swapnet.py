@@ -10,7 +10,7 @@ disjoint nearest-neighbor transpositions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .universe import HoppingOp
@@ -18,17 +18,19 @@ from .universe import HoppingOp
 UNUSED = -1  # sorts after every real position
 
 
-@dataclass(frozen=True)
-class SwapLayer:
-    parity: str  # "odd" | "even": index parity of the left slot of each compare
-    swaps: tuple[int, ...]  # left slot l of each transposition (l, l+1)
+class SwapLayer(namedtuple("SwapLayer", ["parity", "swaps"])):
+    """One layer of disjoint compares: ``parity`` is "odd" or "even", the
+    index parity of the left slot of each compare, and ``swaps`` holds the
+    left slot l of each transposition (l, l+1)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SwapNetwork:
-    n: int
-    layers: tuple[SwapLayer, ...]
-    permutation: tuple[int, ...]  # original mode -> final slot
+class SwapNetwork(namedtuple("SwapNetwork", ["n", "layers", "permutation"])):
+    """The sorting network of an ``n``-mode block: its non-empty ``layers``
+    and ``permutation``, original mode -> final slot."""
+
+    __slots__ = ()
 
     @property
     def depth(self) -> int:

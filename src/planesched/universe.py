@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from .cover import PairClique, build_cover
 from .gf import smallest_prime_at_least
@@ -50,12 +50,10 @@ class CoverageError(LookupError):
     """A term has no group that contains all of its factors."""
 
 
-class HoppingOp(NamedTuple):
+class HoppingOp(namedtuple("HoppingOp", ["p", "q", "spin"])):
     """Canonical operator label: A(p, q, spin) for p < q, the number operator for p == q."""
 
-    p: int
-    q: int
-    spin: int
+    __slots__ = ()
 
     @property
     def is_number(self) -> bool:
@@ -89,8 +87,9 @@ def classify_terms(n: int) -> list[TermKey]:
     comps.sort()
     terms: list[TermKey] = [(c,) for c in comps]
     for i, a in enumerate(comps):
+        p, q, spin = a
         for b in comps[i + 1 :]:
-            if a.spin != b.spin or a.indices.isdisjoint(b.indices):
+            if b.spin != spin or (b.p != p and b.p != q and b.q != p and b.q != q):
                 terms.append((a, b))
     return terms
 
@@ -99,31 +98,29 @@ def classify_terms(n: int) -> list[TermKey]:
 FAMILIES = ("part", "one_body", "diff_spin", "same_spin")
 
 
-@dataclass(frozen=True)
-class MeasurementClique:
-    """One simultaneously measurable operator set."""
+class MeasurementClique(
+    namedtuple("MeasurementClique", ["id", "family", "ops", "source"], defaults=(None,))
+):
+    """One simultaneously measurable operator set: its ``id``, its family
+    (one of FAMILIES), its ``ops`` and the ``source`` it was built from."""
 
-    id: int
-    family: str  # one of FAMILIES
-    ops: tuple[HoppingOp, ...]
-    source: tuple | None = None
+    __slots__ = ()
 
     def ops_for_spin(self, spin: int) -> tuple[HoppingOp, ...]:
         return tuple(op for op in self.ops if op.spin == spin)
 
 
-@dataclass
 class Universe:
     """All measurement groups for n orbitals, with routing indexes."""
 
-    n: int
-    pi: int
-    rounds: list[Round]
-    anchor_groups: list[PairClique]
-    cliques: list[MeasurementClique]
-    _op_index: dict[HoppingOp, list[int]] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, pi: int, rounds: list[Round],
+                 anchor_groups: list[PairClique], cliques: list[MeasurementClique]) -> None:
+        self.n = n
+        self.pi = pi
+        self.rounds = rounds
+        self.anchor_groups = anchor_groups
+        self.cliques = cliques
+        self._op_index: dict[HoppingOp, list[int]] = {}
         for c in self.cliques:
             for op in c.ops:
                 self._op_index.setdefault(op, []).append(c.id)
@@ -150,9 +147,10 @@ def _check_disjoint_within_spin(ops: tuple[HoppingOp, ...]) -> None:
         for op in ops:
             if op.spin != spin:
                 continue
-            if seen & op.indices:
+            if op.p in seen or op.q in seen:
                 raise ValueError(f"non-disjoint indices within spin sector: {ops}")
-            seen |= op.indices
+            seen.add(op.p)
+            seen.add(op.q)
 
 def build_universe(n: int) -> Universe:
     """Assemble all four clique families for n orbitals.
@@ -209,7 +207,6 @@ def route_term(term: TermKey, universe: Universe) -> int:
         raise CoverageError(f"no clique covers {term}")
     return min(common)
 
-@dataclass
 class Hamiltonian:
     """Molecular Hamiltonian data: scalar shift, one- and two-body tensors.
 
@@ -225,17 +222,13 @@ class Hamiltonian:
     defined.
     """
 
-    n_orbitals: int
-    e_nuc: float
-    h: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self) -> None:
+    def __init__(self, n_orbitals: int, e_nuc: float, h: np.ndarray, g: np.ndarray) -> None:
         import numpy as np
 
-        n = self.n_orbitals
-        self.h = np.asarray(self.h, dtype=float)
-        self.g = np.asarray(self.g, dtype=float)
+        n = self.n_orbitals = n_orbitals
+        self.e_nuc = e_nuc
+        self.h = np.asarray(h, dtype=float)
+        self.g = np.asarray(g, dtype=float)
         for name, value in (("e_nuc", self.e_nuc), ("h", self.h), ("g", self.g)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} has a non-finite entry (NaN or infinity)")

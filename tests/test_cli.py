@@ -450,7 +450,8 @@ def test_cli_runs_without_scipy(tmp_path):
     """``schedule``, ``verify`` and ``stats`` use the standard library only;
     ``estimate`` loads numpy and ``sim``, and scipy loads when the dense
     oracle runs.  Pauli coefficients are integers, so ``fractions`` never
-    loads."""
+    loads.  No class is a dataclass, so neither ``dataclasses`` nor the
+    ``inspect`` it imports loads before numpy does."""
     ham_path = tmp_path / "ham.json"
     random_hamiltonian(2, seed=4).save(str(ham_path))
     schedule_path = str(tmp_path / "s.json")
@@ -460,9 +461,11 @@ import planesched
 import planesched.cli as cli
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 numpy_free = lambda: "numpy" not in sys.modules and "planesched.sim" not in sys.modules
+heavy = lambda: [m for m in ("dataclasses", "inspect") if m in sys.modules]
 assert numpy_free()
 assert not loaded(), loaded()
 assert "fractions" not in sys.modules
+assert not heavy(), heavy()
 with contextlib.redirect_stdout(io.StringIO()):
     for mapping in ("jw", "parity"):
         for argv in (["schedule", "--orbitals", "3", "--out", {schedule_path!r}],
@@ -470,6 +473,7 @@ with contextlib.redirect_stdout(io.StringIO()):
                      ["verify", "--orbitals", "3", "--out", {schedule_path!r}],
                      ["stats", "--orbitals", "3", "--grid"]):
             assert cli.main(argv + ["--mapping", mapping]) == 0, argv
+            assert not heavy(), (argv, heavy())
 assert numpy_free(), sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["estimate", "--hamiltonian", {str(ham_path)!r}],

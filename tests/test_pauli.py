@@ -1,7 +1,6 @@
 """Exact Pauli propagation against the scipy full-space oracle in ``sim``
 and against the Fraction-based kernel it replaced."""
 
-import dataclasses
 import math
 from fractions import Fraction
 from functools import cache, reduce
@@ -19,6 +18,7 @@ from planesched.circuits import (
     DecodeTable,
     DiagonalizationError,
     Gate,
+    Schedule,
     SignMatrix,
     _decode_from_diagonal,
     emit_schedule,
@@ -164,8 +164,8 @@ def with_moved_swap(schedule, cid: int, shift: int, i: int | None = None):
     moved = Gate(circ.gates[i].name, tuple(q + shift for q in circ.gates[i].qubits))
     gates = circ.gates[:i] + (moved,) + circ.gates[i + 1 :]
     circs = list(schedule.circuits)
-    circs[cid] = dataclasses.replace(circ, gates=gates)
-    return dataclasses.replace(schedule, circuits=circs), gates
+    circs[cid] = circ._replace(gates=gates)
+    return Schedule(schedule.n, schedule.mapping, schedule.universe, circs), gates
 
 
 def test_moved_swap_trips_exact_tripwire_and_oracle(capsys, monkeypatch):
@@ -250,8 +250,8 @@ def test_decode_cache_cannot_hide_a_corrupt_table():
         bad = DecodeTable(good.qubits, tuple(values))
         circ = schedule.circuits[cid]
         circs = list(schedule.circuits)
-        circs[cid] = dataclasses.replace(circ, decode={**circ.decode, op: bad})
-        broken = dataclasses.replace(schedule, circuits=circs)
+        circs[cid] = circ._replace(decode={**circ.decode, op: bad})
+        broken = Schedule(schedule.n, schedule.mapping, schedule.universe, circs)
         assert circuits.conjugation_problems(broken) == [
             f"clique {cid} {op}: decodes to {good.values}, table says {bad.values}"
         ]
