@@ -35,8 +35,11 @@ One decode path turns a conjugated form into a table, for emission and the
 tripwire alike.  It is a pure function of the form, the support and whether
 the operator is a number operator, so it is cached on those and each
 distinct conjugated form is decoded once.  ``conjugation_problems``
-conjugates each operator's full form through its whole circuit, uncached,
-and compares the decode with that circuit's own table.
+conjugates every operator's full form through its clique's whole circuit,
+uncached, and compares each decode with that circuit's own table.  The
+operators of one clique go through the circuit together, column-packed
+(``pauli.conjugate_all``): each gate is one call of its compiled column
+rule, whatever the number of strings.
 
 Cliques repeat work: a spin block's network depends only on its position
 vector, which many cliques share.  Emission therefore sorts each distinct
@@ -364,14 +367,15 @@ def conjugation_problems(schedule: Schedule) -> list[str]:
     """Tripwire: every clique operator's full form, conjugated through its
     whole circuit, swap network included, must decode exactly to its table."""
     problems: list[str] = []
+    n = schedule.n
+    full = cache(lambda op: pauli.operator_paulis(op, schedule.mapping, n))
     for mc, circ in zip(schedule.universe.cliques, schedule.circuits):
-        for op in mc.ops:
+        conjugated = pauli.conjugate_all([full(op) for op in mc.ops], circ.gates, 2 * n)
+        for op, form in zip(mc.ops, conjugated):
             table = circ.decode[op]
-            full = pauli.operator_paulis(op, schedule.mapping, schedule.n)
             try:
                 got = _decode_from_diagonal(
-                    table.qubits, pauli.conjugate(full, circ.gates), op.is_number,
-                    "clique", mc.id, op,
+                    table.qubits, form, op.is_number, "clique", mc.id, op
                 )
             except DiagonalizationError as exc:
                 problems.append(str(exc))

@@ -10,11 +10,19 @@ Gottesman, arXiv:quant-ph/0406196).  A gate's image table is derived once
 per gate name from the gate's exact sign matrix (a scale times an integer
 matrix), in integer arithmetic with no tolerance; a gate that is not
 Clifford is rejected.
+
+Many forms go through one circuit together (``conjugate_all``): their
+strings are the rows of a bit matrix kept by column, one int of X bits and
+one of Z bits per qubit with bit r for row r, plus one int of sign flips.
+Each gate name gets a column rule, compiled once from its image table: its
+output columns are XORs of input columns (the table's linear part) and its
+sign flip is the XOR of the AND-monomials of the algebraic normal form of
+the table's sign bit.  One rule call moves every row through the gate.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -25,7 +33,7 @@ if TYPE_CHECKING:
 
 PauliForm = dict[tuple[int, int], int]  # (x_bits, z_bits) -> coefficient in halves
 
-_TABLES: dict[str, list[tuple[int, int, int]]] = {}  # gate name -> image table
+_RULES: dict = {}  # gate name -> its column rule (_column_rule)
 
 
 def _bits(qubits) -> int:
@@ -99,42 +107,154 @@ def _image_table(name: str, matrix: SignMatrix) -> list[tuple[int, int, int]]:
     return table
 
 
+def _anf(truth: list[int]) -> set[int]:
+    """Monomials of a Boolean function's algebraic normal form, each a bit
+    set of input variables, from its truth table (the Moebius transform)."""
+    coeffs = list(truth)
+    step = 1
+    while step < len(coeffs):
+        for i in range(len(coeffs)):
+            if i & step:
+                coeffs[i] ^= coeffs[i ^ step]
+        step <<= 1
+    return {m for m, c in enumerate(coeffs) if c}
+
+
+def _xor_of_ands(monomials: set[int], names: list[str]) -> str:
+    """A Python expression for the XOR of AND-monomials over ``names``,
+    factored on the most frequent variable first.  No monomial is constant."""
+    v = max(range(len(names)), key=lambda i: sum(m >> i & 1 for m in monomials))
+    inner = {m ^ 1 << v for m in monomials if m >> v & 1}
+    rest = {m for m in monomials if not m >> v & 1}
+    if 0 in inner:  # v (1 ^ Q) is v & ~Q
+        inner.discard(0)
+        term = f"{names[v]} & ~{_xor_of_ands(inner, names)}" if inner else names[v]
+    else:
+        term = f"{names[v]} & {_xor_of_ands(inner, names)}"
+    term = f"{term} ^ {_xor_of_ands(rest, names)}" if rest else term
+    return f"({term})" if " " in term else term
+
+
+def _column_rule(name: str, matrix: SignMatrix):
+    """The gate's action on columns, compiled once per gate name.
+
+    ``rule(xs, zs, low, flips)`` rewrites the X and Z columns of qubits
+    ``low .. low + k - 1`` in place and returns ``flips`` with every row
+    whose sign the gate flips toggled.  Each output column is the XOR of the
+    input columns in the linear part of ``_image_table``, and the sign flip
+    is the XOR of the AND-monomials of the algebraic normal form of its sign
+    bit, so one call updates every row at once.
+    """
+    table = _image_table(name, matrix)
+    k = (len(table).bit_length() - 1) // 2
+    # bit j of a table index x << k | z is z_j below k and x_(j - k) above
+    names = [f"z{i}" for i in range(k)] + [f"x{i}" for i in range(k)]
+    at = [f"[low + {i}]" if i else "[low]" for i in range(k)]
+    body = [f"    {c}{i} = {c}s{at[i]}" for c in "zx" for i in range(k)]
+    for c, image in (("x", 0), ("z", 1)):
+        for i in range(k):
+            monomials = _anf([entry[image] >> i & 1 for entry in table])
+            if any(m.bit_count() != 1 for m in monomials):
+                raise ValueError(f"gate {name}: its image is not linear in the input bits")
+            value = " ^ ".join(names[m.bit_length() - 1] for m in sorted(monomials)) or "0"
+            if value != f"{c}{i}":
+                body.append(f"    {c}s{at[i]} = {value}")
+    # the identity keeps its sign, so no monomial is constant
+    flips = _anf([entry[2] < 0 for entry in table])
+    body.append(f"    return flips ^ {_xor_of_ands(flips, names)}" if flips else "    return flips")
+    scope: dict = {}
+    code = "\n".join(["def rule(xs, zs, low, flips):", *body])
+    exec(compile(code, f"<column rule of {name}>", "exec"), scope)
+    return scope["rule"]
+
+
+def _ones(bits: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+@cache
+def _edges(bits: int) -> tuple[int, ...]:
+    """Each q where bit q of ``bits`` differs from bit q - 1 (bit -1 reads
+    0), ascending: a run of ones has two, however long."""
+    return tuple(_ones(bits ^ bits << 1))
+
+
+def conjugate_all(forms: list[PauliForm], gates, n_qubits: int) -> list[PauliForm]:
+    """``conjugate(form, gates)`` for every form at once, on ``n_qubits``
+    qubits that hold every string and gate.
+
+    The forms' strings are the rows of a bit matrix kept by column: each
+    qubit has one int of X bits and one of Z bits, with bit r for row r, and
+    one int holds the rows whose sign has flipped.  Each gate's column rule
+    updates every row with a few big-int operations (the bit-sliced tableau
+    of Aaronson and Gottesman, arXiv:quant-ph/0406196, and of Stim,
+    arXiv:2103.02202).  Conjugation maps distinct strings to distinct
+    strings, so no two ever merge.
+    """
+    rows = [s for form in forms for s in form]
+    # the columns are filled at the edges of each string's runs of ones,
+    # then a prefix XOR over the qubits fills the runs: a Jordan-Wigner
+    # chain of Z costs two edges, not one bit per qubit
+    columns = []
+    for part in (0, 1):
+        edges = [0] * (n_qubits + 1)
+        for r, string in enumerate(rows):
+            row = 1 << r
+            for q in _edges(string[part]):
+                edges[q] |= row
+        for q in range(1, n_qubits):
+            edges[q] ^= edges[q - 1]
+        columns.append(edges[:n_qubits])
+    xs, zs = columns
+    flips = 0
+    for gate in gates:
+        rule = _RULES.get(gate.name)
+        if rule is None:  # compiled on the first use of its name
+            rule = _RULES[gate.name] = _column_rule(gate.name, gate.sign_matrix())
+        flips = rule(xs, zs, gate.qubits[0], flips)
+    images = [[0, 0] for _ in rows]
+    for part, column in enumerate(columns):
+        for q, c in enumerate(column):
+            while c:  # most columns are empty once a circuit diagonalizes
+                low = c & -c
+                images[low.bit_length() - 1][part] |= 1 << q
+                c ^= low
+    out, r = [], 0
+    for form in forms:
+        image = {}
+        for c in form.values():
+            x, z = images[r]
+            image[x, z] = -c if flips >> r & 1 else c
+            r += 1
+        out.append(image)
+    return out
+
+
 def conjugate(paulis: PauliForm, gates) -> PauliForm:
     """U O U^dag for the gates in execution order, exactly.
 
-    Gates act on contiguous ascending qubits, so local bit i of a gate's
-    table is qubit ``qubits[0] + i``.  A gate whose qubits miss every string
-    is skipped.  Conjugation maps distinct strings to distinct strings, so
-    no two ever merge.
+    A gate on qubits that no string can have reached yet acts on the
+    identity there, so it is left out.
     """
-    strings = [[x, z, c] for (x, z), c in paulis.items()]
-    acting = reduce(int.__or__, (x | z for x, z in paulis), 0)  # qubits some string acts on
+    reached = reduce(int.__or__, (x | z for x, z in paulis), 0)
+    acting = []
     for gate in gates:
-        qubits = gate.qubits
-        low, k = qubits[0], len(qubits)
-        local = (1 << k) - 1
-        if not (acting >> low) & local:
-            continue
-        table = _TABLES.get(gate.name)
-        if table is None:
-            table = _TABLES[gate.name] = _image_table(gate.name, gate.sign_matrix())
-        keep = ~(local << low)
-        acting &= keep
-        for s in strings:
-            x, z = s[0] >> low & local, s[1] >> low & local
-            if x | z:
-                nx, nz, sign = table[x << k | z]
-                s[0] = s[0] & keep | nx << low
-                s[1] = s[1] & keep | nz << low
-                s[2] *= sign
-                acting |= (nx | nz) << low
-    return {(x, z): c for x, z, c in strings}
+        span = ((1 << len(gate.qubits)) - 1) << gate.qubits[0]
+        if reached & span:
+            acting.append(gate)
+            reached |= span
+    return conjugate_all([paulis], acting, reached.bit_length())[0]
 
 
 def support(paulis: PauliForm) -> tuple[int, ...]:
     """Qubits some string acts on, ascending."""
-    bits = reduce(int.__or__, (x | z for x, z in paulis), 0)
-    return tuple(q for q in range(bits.bit_length()) if (bits >> q) & 1)
+    return tuple(_ones(reduce(int.__or__, (x | z for x, z in paulis), 0)))
 
 
 def is_diagonal(paulis: PauliForm) -> bool:

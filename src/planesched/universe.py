@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .cover import PairClique, build_cover
@@ -111,7 +112,8 @@ class MeasurementClique(
 
 
 class Universe:
-    """All measurement groups for n orbitals, with routing indexes."""
+    """All measurement groups for n orbitals, with a routing index:
+    ``op_masks[op]`` has bit c set for each clique c that holds ``op``."""
 
     def __init__(self, n: int, pi: int, rounds: list[Round],
                  anchor_groups: list[PairClique], cliques: list[MeasurementClique]) -> None:
@@ -120,10 +122,6 @@ class Universe:
         self.rounds = rounds
         self.anchor_groups = anchor_groups
         self.cliques = cliques
-        self._op_index: dict[HoppingOp, list[int]] = {}
-        for c in self.cliques:
-            for op in c.ops:
-                self._op_index.setdefault(op, []).append(c.id)
 
     def __len__(self) -> int:
         return len(self.cliques)
@@ -137,8 +135,24 @@ class Universe:
             counts[c.family] += 1
         return counts
 
+    @cached_property
+    def op_masks(self) -> dict[HoppingOp, int]:
+        """Built on first use: emitting a schedule routes no term."""
+        masks: dict[HoppingOp, int] = {}
+        for c in self.cliques:
+            bit = 1 << c.id
+            for op in c.ops:
+                masks[op] = masks.get(op, 0) | bit
+        return masks
+
     def cliques_containing(self, op: HoppingOp) -> list[int]:
-        return self._op_index.get(op, [])
+        """Ids of the cliques that hold ``op``, ascending."""
+        mask, ids = self.op_masks.get(op, 0), []
+        while mask:
+            low = mask & -mask
+            ids.append(low.bit_length() - 1)
+            mask ^= low
+        return ids
 
 
 def _check_disjoint_within_spin(ops: tuple[HoppingOp, ...]) -> None:
@@ -196,16 +210,15 @@ def build_universe(n: int) -> Universe:
 
 
 def route_term(term: TermKey, universe: Universe) -> int:
-    """Lowest-id clique containing every factor of the term."""
-    candidate_lists = [universe.cliques_containing(op) for op in term]
-    if any(not lst for lst in candidate_lists):
-        raise CoverageError(f"no clique covers {term}")
-    if len(candidate_lists) == 1:
-        return candidate_lists[0][0]
-    common = set(candidate_lists[0]).intersection(*candidate_lists[1:])
+    """Lowest-id clique containing every factor of the term: the lowest set
+    bit of the AND of the factors' clique masks."""
+    masks = universe.op_masks
+    common = -1
+    for op in term:
+        common &= masks.get(op, 0)
     if not common:
         raise CoverageError(f"no clique covers {term}")
-    return min(common)
+    return (common & -common).bit_length() - 1
 
 class Hamiltonian:
     """Molecular Hamiltonian data: scalar shift, one- and two-body tensors.
@@ -268,10 +281,18 @@ def _is_number(value) -> bool:
 
 
 def _all_numbers(value) -> bool:
-    """Every leaf of nested lists is a JSON number."""
-    if isinstance(value, list):
-        return all(map(_all_numbers, value))
-    return _is_number(value)
+    """``value`` is nested lists whose leaves are JSON numbers, all at one
+    depth.  Each nesting level is checked by its set of types: all lists, or
+    all ints and floats (a bool, string or null is neither)."""
+    level = [value]
+    while level:
+        types = set(map(type, level))
+        if types <= {int, float}:
+            return True
+        if types != {list}:
+            return False
+        level = [item for items in level for item in items]
+    return True
 
 
 def load_hamiltonian(path: str) -> Hamiltonian:

@@ -347,6 +347,16 @@ TOO_BIG = 10**400  # an exact JSON integer beyond float range
     {"h": np.full((2, 2, 2), True).tolist()},
     {"g": np.full((2,) * 6, False).tolist()},
     {"h": np.full((2, 2, 2), "0.5").tolist()},
+    # one leaf of the wrong kind among numbers: a bool, a string, a null
+    {"h": [[[0.5, 0.0], [0.0, 0.5]], [[0.5, True], [True, 0.5]]]},
+    {"h": [[[0.5, "0.0"], ["0.0", 0.5]], [[0.5, 0.0], [0.0, 0.5]]]},
+    {"g": np.insert(np.zeros(63, dtype=object), 5, None).reshape((2,) * 6).tolist()},
+    # ragged nesting: rows of different lengths
+    {"h": [[[0.5, 0.0], [0.0]], [[0.5, 0.0], [0.0, 0.5]]]},
+    {"g": [np.zeros((2,) * 5).tolist(), np.zeros((2,) * 4 + (3,)).tolist()]},
+    # mixed nesting: numbers beside lists at one level
+    {"h": [[[0.5, 0.0], 0.0], [[0.5, 0.0], [0.0, 0.5]]]},
+    {"h": [[[0.5, [0.0]], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]]]},
     # h[0, 1] - h[1, 0] overflows a float
     {"h": [[[0.0, 1e308], [-1e308, 0.0]]] * 2},
 ])

@@ -317,3 +317,128 @@ def test_every_operator_decodes_as_the_fraction_reference(mapping):
                 assert {s: Fraction(c, 2) for s, c in exact.items()} == reference, (n, op)
                 assert reference_decode(table.qubits, reference, op.is_number) == table, (n, op)
                 assert _decode_from_diagonal(table.qubits, exact, op.is_number, "") == table
+
+
+OTHER_CLIFFORDS = [
+    SignMatrix(1.0, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))),  # CZ
+    SignMatrix(1.0, ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))),  # SWAP
+    SignMatrix(0.5, ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))),  # H (x) H
+    SignMatrix(1.0, ((0, -1), (1, 0))),  # X Z = -iY
+]
+
+
+@pytest.mark.parametrize("name, signs", [
+    *sorted(circuits.GATE_SIGNS.items()),
+    *((f"other{i}", signs) for i, signs in enumerate(OTHER_CLIFFORDS)),
+])
+def test_column_rule_matches_image_table(name, signs):
+    """Every local input string is one row; the rule must send each row
+    where the image table does, above a bystander qubit it must not touch."""
+    table = pauli._image_table(name, signs)
+    k = len(signs.signs).bit_length() - 1
+    rows = range(len(table))  # row t holds the local string x = t >> k, z = t % 2^k
+    xs = [0b1011] + [sum(1 << t for t in rows if t >> k >> i & 1) for i in range(k)]
+    zs = [0b0110] + [sum(1 << t for t in rows if t >> i & 1) for i in range(k)]
+    flips = pauli._column_rule(name, signs)(xs, zs, 1, 0b100)
+    assert (xs[0], zs[0]) == (0b1011, 0b0110)
+    for t in rows:
+        nx = sum((xs[1 + i] >> t & 1) << i for i in range(k))
+        nz = sum((zs[1 + i] >> t & 1) << i for i in range(k))
+        sign = -1 if (flips ^ 0b100) >> t & 1 else 1
+        assert (nx, nz, sign) == table[t], (name, t)
+
+
+def test_non_clifford_gate_has_no_column_rule():
+    ccz = SignMatrix(1.0, tuple(tuple(-1 if i == j == 7 else int(i == j) for j in range(8))
+                                for i in range(8)))
+    with pytest.raises(ValueError, match="not Clifford"):
+        pauli._column_rule("CCZ", ccz)
+    gate = SimpleNamespace(name="CCZ", qubits=(0, 1, 2), sign_matrix=lambda: ccz)
+    with pytest.raises(ValueError, match="not Clifford"):
+        pauli.conjugate_all([{(1, 0): 1}], [gate], 3)
+
+
+@cache
+def image_table(name):
+    return pauli._image_table(name, circuits.GATE_SIGNS[name])
+
+
+def reference_string_conjugate(paulis, gates):
+    """The per-string conjugation the column-packed one replaced: each string
+    walks through every gate that acts on some string."""
+    strings = [[x, z, c] for (x, z), c in paulis.items()]
+    acting = reduce(int.__or__, (x | z for x, z in paulis), 0)
+    for gate in gates:
+        low, k = gate.qubits[0], len(gate.qubits)
+        local = (1 << k) - 1
+        if not (acting >> low) & local:
+            continue
+        table = image_table(gate.name)
+        keep = ~(local << low)
+        acting &= keep
+        for s in strings:
+            x, z = s[0] >> low & local, s[1] >> low & local
+            if x | z:
+                nx, nz, sign = table[x << k | z]
+                s[0] = s[0] & keep | nx << low
+                s[1] = s[1] & keep | nz << low
+                s[2] *= sign
+                acting |= (nx | nz) << low
+    return {(x, z): c for x, z, c in strings}
+
+
+def reference_problems(schedule):
+    """The tripwire the column-packed one replaced, operator by operator."""
+    problems = []
+    for mc, circ in zip(schedule.universe.cliques, schedule.circuits):
+        for op in mc.ops:
+            table = circ.decode[op]
+            full = pauli.operator_paulis(op, schedule.mapping, schedule.n)
+            try:
+                got = _decode_from_diagonal(
+                    table.qubits, reference_string_conjugate(full, circ.gates), op.is_number,
+                    "clique", mc.id, op,
+                )
+            except DiagonalizationError as exc:
+                problems.append(str(exc))
+                continue
+            if got != table:
+                problems.append(f"clique {mc.id} {op}: decodes to {got.values}, "
+                                f"table says {table.values}")
+    return problems
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tripwire_flags_what_the_per_string_loop_flags(data):
+    n = data.draw(st.integers(2, 10), label="n")
+    mapping = data.draw(st.sampled_from(["jw", "parity"]), label="mapping")
+    schedule = cached_schedule(n, mapping)
+    swaps = [(cid, i) for cid, circ in enumerate(schedule.circuits)
+             for i, g in enumerate(circ.gates) if g.name.startswith("FSWAP")]
+    if not swaps:  # n = 2: no circuit has a swap
+        assert circuits.conjugation_problems(schedule) == reference_problems(schedule) == []
+        return
+    cid, i = data.draw(st.sampled_from(swaps), label="swap")
+    qubits = schedule.circuits[cid].gates[i].qubits
+    shift = data.draw(st.sampled_from(
+        [None] + [d for d in (-1, 1) if qubits[0] + d >= 0 and qubits[-1] + d < 2 * n]
+    ), label="shift (None drops the swap)")
+    if shift is None:
+        circ = schedule.circuits[cid]
+        circs = list(schedule.circuits)
+        circs[cid] = circ._replace(gates=circ.gates[:i] + circ.gates[i + 1:])
+        broken = Schedule(n, mapping, schedule.universe, circs)
+    else:
+        broken, _ = with_moved_swap(schedule, cid, shift, i)
+    assert circuits.conjugation_problems(broken) == reference_problems(broken)
+
+
+def test_conjugate_all_equals_one_form_at_a_time():
+    n, mapping = 5, "parity"
+    schedule = cached_schedule(n, mapping)
+    for mc, circ in zip(schedule.universe.cliques, schedule.circuits):
+        forms = [pauli.operator_paulis(op, mapping, n) for op in mc.ops]
+        together = pauli.conjugate_all(forms, circ.gates, 2 * n)
+        assert together == [reference_string_conjugate(f, circ.gates) for f in forms]
+        assert together == [pauli.conjugate(f, circ.gates) for f in forms]

@@ -1,10 +1,13 @@
 """Term classification, clique families, routing, and the Hamiltonian model."""
 
 import math
+from functools import cache
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planesched.cover import place_s_points
 from planesched.plane import gamma_point, point_code
@@ -170,6 +173,63 @@ def test_coverage_error_when_op_unknown():
     u = build_universe(3)
     with pytest.raises(CoverageError):
         route_term((HoppingOp(0, 9, UP),), u)
+
+
+def reference_index(u):
+    """Clique ids per operator, ascending: the list index the masks replaced."""
+    index = {}
+    for c in u.cliques:
+        for op in c.ops:
+            index.setdefault(op, []).append(c.id)
+    return index
+
+
+def reference_route_term(term, index):
+    """The list-intersection routing the clique masks replaced."""
+    candidate_lists = [index.get(op, []) for op in term]
+    if any(not lst for lst in candidate_lists):
+        raise CoverageError(f"no clique covers {term}")
+    if len(candidate_lists) == 1:
+        return candidate_lists[0][0]
+    common = set(candidate_lists[0]).intersection(*candidate_lists[1:])
+    if not common:
+        raise CoverageError(f"no clique covers {term}")
+    return min(common)
+
+
+def test_mask_routing_matches_list_intersection():
+    for n in range(2, 15):
+        u = build_universe(n)
+        index = reference_index(u)
+        for op, ids in index.items():
+            assert u.cliques_containing(op) == ids
+        for term in classify_terms(n):
+            assert route_term(term, u) == reference_route_term(term, index), (n, term)
+
+
+@cache
+def cached_universe(n):
+    return build_universe(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mask_routing_matches_list_intersection_on_any_term(data):
+    n = data.draw(st.integers(2, 9), label="n")
+    u = cached_universe(n)
+    # labels up to n reach one past the modes, so some factors are in no clique
+    label = st.integers(0, n)
+    factor = st.builds(lambda a, b, spin: HoppingOp(min(a, b), max(a, b), spin),
+                       label, label, st.sampled_from([UP, DOWN]))
+    term = tuple(sorted(data.draw(st.lists(factor, min_size=1, max_size=3), label="term")))
+    try:
+        expected = reference_route_term(term, reference_index(u))
+    except CoverageError as exc:
+        with pytest.raises(CoverageError) as got:
+            route_term(term, u)
+        assert str(got.value) == str(exc)
+    else:
+        assert route_term(term, u) == expected
 
 
 def test_hamiltonian_roundtrip(tmp_path):
