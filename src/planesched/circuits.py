@@ -41,11 +41,18 @@ operators of one clique go through the circuit together, column-packed
 (``pauli.conjugate_all``): each gate is one call of its compiled column
 rule, whatever the number of strings.
 
-Cliques repeat work: a spin block's network depends only on its position
-vector, which many cliques share.  Emission therefore sorts each distinct
-vector once, builds one immutable ``Gate`` per ``(name, qubits)``, and
-shares each network's per-layer gate tuples and each rotation layer among
-the circuits that use them.
+A clique is one up-spin block times one down-spin block (see ``universe``),
+and many cliques share a block, so emission works a block at a time.  Each
+distinct block is sorted once (``_block``): its position vector, network,
+per-layer swap gates, hopping count and the check that the network leaves
+every operator on its slots.  ``position_vector`` puts hopping operator k
+on slots (2k, 2k+1) and the number operators after them, so a block's
+decode tables depend only on its slot layout, its spin, and the two blocks'
+hopping counts that fix the rotation layer (``_slot_tables``); a clique's
+tables are its blocks' layout tables, read in block order.  Emission builds
+one immutable ``Gate`` per ``(name, qubits)`` and shares each block's gate
+tuples and each rotation layer among the circuits that use them; only the
+merge of the two blocks' layers is made per clique.
 """
 
 from __future__ import annotations
@@ -227,15 +234,6 @@ def _block_swaps(spin: int, mapping: str, n: int) -> tuple[Gate, ...]:
 
 
 @cache
-def _swap_layers(
-    target: tuple[int, ...], spin: int, mapping: str
-) -> tuple[tuple[Gate, ...], ...]:
-    """The network's swap gates on spin block ``spin``, one tuple per layer."""
-    fswaps = _block_swaps(spin, mapping, len(target))
-    return tuple(tuple([fswaps[l] for l in layer.swaps]) for layer in _network(target).layers)
-
-
-@cache
 def _decode(form: frozenset, support: tuple[int, ...], is_number: bool) -> DecodeTable | str:
     """Decode table of a conjugated form that must be diagonal on ``support``,
     or why it has none.  Nothing else enters it, so each distinct conjugated
@@ -278,44 +276,74 @@ def _sorted_decode(
     )
 
 
+@cache
+def _slot_tables(
+    spin: int, pairs: int, numbers: int, m_up: int, m_down: int, mapping: str, n: int
+) -> tuple[DecodeTable, ...]:
+    """Decode tables of a block's slot layout: hopping operator k sorted onto
+    slots (2k, 2k+1) of spin block ``spin``, then each number operator on
+    the next slot, in that order."""
+    first = 2 * pairs
+    sorted_ops = [HoppingOp(2 * k, 2 * k + 1, spin) for k in range(pairs)]
+    sorted_ops += [HoppingOp(s, s, spin) for s in range(first, first + numbers)]
+    return tuple([_sorted_decode(op, m_up, m_down, mapping, n) for op in sorted_ops])
+
+
+# one spin block's share of every circuit that holds it: its swap gates per
+# network layer, the network's permutation, its hopping and number operator
+# counts, and each operator's index in the slot layout
+_Block = namedtuple("_Block", ["layers", "permutation", "pairs", "numbers", "slots"])
+
+
+@cache
+def _block(ops: tuple[HoppingOp, ...], spin: int, mapping: str, n: int) -> _Block:
+    """Sort one spin block and check that its network leaves each operator
+    on the slots ``position_vector`` gave it: hopping operator k on
+    (2k, 2k+1), then the number operators, in block order."""
+    target = tuple(position_vector(ops, n))
+    net = _network(target)
+    pairs = sum(not op.is_number for op in ops)
+    slots = []
+    for op in ops:
+        a, b = net.permutation[op.p], net.permutation[op.q]
+        if (a, b) != (target[op.p], target[op.q]):
+            raise DiagonalizationError(f"{op}: swap network left it on slots {a}, {b}")
+        slots.append(a - pairs if op.is_number else a // 2)
+    fswaps = _block_swaps(spin, mapping, n)
+    layers = tuple(tuple([fswaps[l] for l in layer.swaps]) for layer in net.layers)
+    return _Block(layers, net.permutation, pairs, len(ops) - pairs, tuple(slots))
+
+
 def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
     """Swap network plus basis rotation for one clique, with decode tables."""
     if mapping not in ("jw", "parity"):
         raise ValueError(f"unknown mapping: {mapping!r}")
-    targets: dict[int, tuple[int, ...]] = {}  # spin -> the slot each mode must reach
-    pairs: dict[int, int] = {}  # spin -> hopping operators in the block
-    for spin in (UP, DOWN):
-        ops = clique.ops_for_spin(spin)
-        targets[spin] = tuple(position_vector(ops, n))
-        pairs[spin] = sum(not op.is_number for op in ops)
-    nets = {spin: _network(target) for spin, target in targets.items()}
+    up_ops, down_ops = clique.ops_for_spin(UP), clique.ops_for_spin(DOWN)
+    up, down = _block(up_ops, UP, mapping, n), _block(down_ops, DOWN, mapping, n)
 
     # the two blocks' swaps share each layer, up block first
     gates: list[Gate] = []
-    up, down = (_swap_layers(targets[spin], spin, mapping) for spin in (UP, DOWN))
-    for up_layer, down_layer in zip_longest(up, down, fillvalue=()):
+    for up_layer, down_layer in zip_longest(up.layers, down.layers, fillvalue=()):
         gates += up_layer
         gates += down_layer
-    swap_depth = max(len(up), len(down))
+    swap_depth = max(len(up.layers), len(down.layers))
 
-    m_up, m_down = pairs[UP], pairs[DOWN]
+    m_up, m_down = up.pairs, down.pairs
     gates += _rotation_layer(m_up, m_down, mapping, n)
     rotation_depth = 0
     if m_up + m_down:
         rotation_depth = 2 if mapping == "jw" else 1
 
     decode: dict[HoppingOp, DecodeTable] = {}
-    for op in clique.ops:
-        a, b = nets[op.spin].permutation[op.p], nets[op.spin].permutation[op.q]
-        if (a, b) != (targets[op.spin][op.p], targets[op.spin][op.q]):
-            raise DiagonalizationError(f"{op}: swap network left it on slots {a}, {b}")
-        decode[op] = _sorted_decode(HoppingOp(a, b, op.spin), m_up, m_down, mapping, n)
+    for spin, ops, block in ((UP, up_ops, up), (DOWN, down_ops, down)):
+        tables = _slot_tables(spin, block.pairs, block.numbers, m_up, m_down, mapping, n)
+        decode.update(zip(ops, map(tables.__getitem__, block.slots)))
 
     return MeasCircuit(
         gates=tuple(gates),
         depth=swap_depth + rotation_depth,
         decode=decode,
-        permutations={UP: nets[UP].permutation, DOWN: nets[DOWN].permutation},
+        permutations={UP: up.permutation, DOWN: down.permutation},
     )
 
 SCHEDULE_VERSION = 2
@@ -400,64 +428,67 @@ def _op_to_list(op: HoppingOp) -> list:
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-@cache
-def _member_key(key: str) -> str:
-    """A member's encoded ``"key":`` prefix."""
-    return _dumps(key) + ":"
+class _Texts(dict):
+    """Encoded texts by key, each made by ``make`` on first use; a hit is one
+    dict lookup, so ``map(texts.__getitem__, keys)`` stays in C."""
 
+    __slots__ = ("make",)
 
-def _object(members: dict[str, str]) -> str:
-    """A JSON object from already encoded member values, keys in the order
-    ``json.dumps(sort_keys=True)`` gives them."""
-    return "{" + ",".join([_member_key(k) + v for k, v in sorted(members.items())]) + "}"
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
 
 
 def _schedule_chunks(schedule: Schedule) -> Iterator[str]:
     """The schedule's JSON text, one clique record at a time.
 
     The text is ``json.dumps`` of the whole document with sorted keys and
-    ``(",", ":")`` separators, plus a newline.  A clique's ``gates`` are
+    ``(",", ":")`` separators, plus a newline; each record is written from
+    one template with its keys in that order.  A clique's ``gates`` are
     indices into ``gate_defs``, one ``{name, qubits}`` per distinct gate in
     order of first use; ``gate_matrices`` holds each non-standard gate name's
     matrix once.  Both tables sort after ``cliques``, so they are written
     last, once every gate has been seen.
+
+    Texts are made once and then looked up: a gate's index per gate object
+    (emission shares one per ``(name, qubits)``; an object not seen before
+    gets the index of its ``(name, qubits)``), and the text of each operator,
+    decode record, family and permutation.
     """
     gate_index: dict[tuple[str, tuple[int, ...]], int] = {}  # in order of first use
-    op_text = cache(lambda op: _dumps(_op_to_list(op)))
+    gate_text = _Texts(lambda g: str(gate_index.setdefault((g.name, g.qubits), len(gate_index))))
+    op_text = _Texts(lambda op: _dumps(_op_to_list(op)))
     # a decode record's members after "op", in sorted key order
-    table_text = cache(lambda t: f'"qubits":{_dumps(t.qubits)},"values":{_dumps(t.values)}')
+    table_text = _Texts(lambda t: f'"qubits":{_dumps(t.qubits)},"values":{_dumps(t.values)}')
+    # (op, table) -> the op's decode record
+    record_text = _Texts(lambda item: f'{{"op":{op_text[item[0]]},{table_text[item[1]]}}}')
+    family_text = _Texts(_dumps)
+    perm_text = _Texts(_dumps)
 
     # "cliques" sorts before every other top-level key
     yield '{"cliques":['
     for i, (mc, circ) in enumerate(zip(schedule.universe.cliques, schedule.circuits)):
-        decode = ",".join([f'{{"op":{op_text(op)},{table_text(circ.decode[op])}}}'
-                           for op in mc.ops])
-        gates = [gate_index.setdefault((g.name, g.qubits), len(gate_index))
-                 for g in circ.gates]
-        record = _object({
-            "id": _dumps(mc.id),
-            "family": _dumps(mc.family),
-            "source": _dumps(mc.source),
-            "ops": "[" + ",".join(map(op_text, mc.ops)) + "]",
-            "gates": _dumps(gates),
-            "decode": "[" + decode + "]",
-            "depth": _dumps(circ.depth),
-            "permutation": _dumps({"up": circ.permutations[UP],
-                                   "down": circ.permutations[DOWN]}),
-        })
-        yield ("," if i else "") + record
-    names = {name for name, _ in gate_index}
-    tail = _object({
-        "version": _dumps(SCHEDULE_VERSION),
-        "n_orbitals": _dumps(schedule.n),
-        "mapping": _dumps(schedule.mapping),
-        "plane_order": _dumps(schedule.universe.pi),
-        "families": _dumps(schedule.universe.family_counts()),
-        "gate_defs": _dumps([{"name": name, "qubits": qubits} for name, qubits in gate_index]),
-        "gate_matrices": _dumps({name: _matrix_to_pairs(GATE_SIGNS[name])
-                                 for name in names & _SERIALIZED_MATRICES}),
-    })
-    yield "]," + tail[1:] + "\n"
+        ops = mc.ops
+        decode = ",".join(map(record_text.__getitem__,
+                              zip(ops, map(circ.decode.__getitem__, ops))))
+        gates = ",".join(map(gate_text.__getitem__, circ.gates))
+        perms = circ.permutations
+        yield (f'{"," if i else ""}{{"decode":[{decode}],"depth":{circ.depth:d},'
+               f'"family":{family_text[mc.family]},"gates":[{gates}],"id":{mc.id:d},'
+               f'"ops":[{",".join(map(op_text.__getitem__, ops))}],'
+               f'"permutation":{{"down":{perm_text[perms[DOWN]]},"up":{perm_text[perms[UP]]}}},'
+               f'"source":{_dumps(mc.source)}}}')
+    gate_defs = _dumps([{"name": name, "qubits": qubits} for name, qubits in gate_index])
+    names = {name for name, _ in gate_index} & _SERIALIZED_MATRICES
+    matrices = _dumps({name: _matrix_to_pairs(GATE_SIGNS[name]) for name in names})
+    yield (f'],"families":{_dumps(schedule.universe.family_counts())},'
+           f'"gate_defs":{gate_defs},"gate_matrices":{matrices},'
+           f'"mapping":{_dumps(schedule.mapping)},"n_orbitals":{_dumps(schedule.n)},'
+           f'"plane_order":{_dumps(schedule.universe.pi)},"version":{_dumps(SCHEDULE_VERSION)}}}\n')
 
 
 def schedule_json(schedule: Schedule) -> str:

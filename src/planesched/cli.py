@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -191,12 +190,10 @@ def _family_contributions(
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    # the matrix products are too small to gain from BLAS threads, which
-    # only spin and take CPU; a value the user has set wins
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # numpy loads here, not for the other commands; sim first, since it
+    # pins the BLAS threads before numpy loads
+    from . import sim as sim_mod
     import numpy as np
-
-    from . import sim as sim_mod  # numpy loads here, not for the other commands
 
     try:
         ham = load_hamiltonian(args.hamiltonian)

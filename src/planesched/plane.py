@@ -18,6 +18,8 @@ that schedule files store.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .gf import inverse_mod, is_prime
 
 Triple = tuple[int, int, int]
@@ -47,13 +49,19 @@ def point_code(t: Triple, pi: int) -> int:
     return 1 + y if x else 0
 
 
+_inverse = cache(inverse_mod)  # normalize meets few distinct (lead, pi)
+
+
 def normalize(t: tuple[int, ...], pi: int) -> Triple:
     """Scale a nonzero vector over GF(pi) so that its first nonzero coordinate is 1."""
-    lead = next((c for c in t if c % pi), 0)
-    if not lead:
+    for lead in t:
+        lead %= pi
+        if lead:
+            break
+    else:
         raise DegenerateInputError(f"zero vector {t} names no point or line")
-    inv = inverse_mod(lead, pi)
-    return tuple(c * inv % pi for c in t)
+    inv = _inverse(lead, pi)
+    return tuple([c * inv % pi for c in t])
 
 
 def join(u: Triple, v: Triple, pi: int) -> Triple:

@@ -20,12 +20,18 @@ the per-gate reference the tests compare against.
 
 from __future__ import annotations
 
+import os
 from functools import cache, lru_cache, reduce
 from itertools import groupby
 from operator import or_
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+# set before numpy loads, here where the package first imports it: the
+# matrix products are too small to gain from BLAS threads, which only spin
+# and take CPU; a value the user has set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from .circuits import GATE_SIGNS, DecodeTable, Gate, MeasCircuit, Schedule
 from .universe import (

@@ -13,6 +13,12 @@ operator groups suffice to estimate every required expectation value:
 
 With N - 1 prime the family sizes are 1, 2(N-1), (N-1)^2 and (N-1)^2.
 
+Each group is one up-spin block times one down-spin block.  A block is the
+operators of one spin that one group takes: the number operators, one
+pairing round, or one anchor group's pairs.  ``build_universe`` builds each
+distinct block once and checks its indices are disjoint once, which checks
+every group holding it, since a group holds exactly one block per spin.
+
 ``decompose`` expands the coefficient tensors onto this measurable basis.
 It works on the canonical pairs i = (p, q), p <= q, each read as the factor
 A_pq (p < q) or n_p (p == q), and on ``f[s, t, i, j]``, the coefficient of
@@ -108,7 +114,7 @@ class MeasurementClique(
     __slots__ = ()
 
     def ops_for_spin(self, spin: int) -> tuple[HoppingOp, ...]:
-        return tuple(op for op in self.ops if op.spin == spin)
+        return tuple([op for op in self.ops if op.spin == spin])
 
 
 class Universe:
@@ -155,16 +161,17 @@ class Universe:
         return ids
 
 
-def _check_disjoint_within_spin(ops: tuple[HoppingOp, ...]) -> None:
-    for spin in (UP, DOWN):
-        seen: set[int] = set()
-        for op in ops:
-            if op.spin != spin:
-                continue
-            if op.p in seen or op.q in seen:
-                raise ValueError(f"non-disjoint indices within spin sector: {ops}")
-            seen.add(op.p)
-            seen.add(op.q)
+Block = tuple[HoppingOp, ...]  # operators of one spin: index-disjoint, in clique order
+
+
+def _check_disjoint_within_spin(block: Block) -> None:
+    seen: set[int] = set()
+    for op in block:
+        if op.p in seen or op.q in seen:
+            raise ValueError(f"non-disjoint indices within spin sector: {block}")
+        seen.add(op.p)
+        seen.add(op.q)
+
 
 def build_universe(n: int) -> Universe:
     """Assemble all four clique families for n orbitals.
@@ -173,39 +180,38 @@ def build_universe(n: int) -> Universe:
     the anchor groups are truncated to in-range labels but all pi^2 of them
     are kept, so the closed-form total 2*n^2 - 2*n + 1 applies exactly when
     n - 1 is prime and n is even.
+
+    A clique's ``ops`` are its two blocks joined: a ``one_body`` clique's
+    round before the other spin's numbers, the up block first elsewhere.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     pi = smallest_prime_at_least(max(2, n - 1))
     rounds = build_rounds(n)
     anchor_groups = build_cover(pi, n)
+
+    def block(pairs, spin: int) -> Block:
+        ops = tuple([HoppingOp(p, q, spin) for p, q in pairs])
+        _check_disjoint_within_spin(ops)
+        return ops
+
+    numbers = [block([(p, p) for p in range(n)], spin) for spin in (UP, DOWN)]
+    paired = [[block(rnd, spin) for rnd in rounds] for spin in (UP, DOWN)]
+    anchored = [[block(g.members, spin) for g in anchor_groups] for spin in (UP, DOWN)]
     cliques: list[MeasurementClique] = []
 
-    def add(family: str, ops: list[HoppingOp], source: tuple | None) -> None:
-        ops_t = tuple(ops)
-        _check_disjoint_within_spin(ops_t)
-        cliques.append(MeasurementClique(len(cliques), family, ops_t, source))
+    def add(family: str, first: Block, second: Block, source: tuple | None) -> None:
+        cliques.append(MeasurementClique(len(cliques), family, first + second, source))
 
-    add(
-        "part",
-        [HoppingOp(p, p, spin) for spin in (UP, DOWN) for p in range(n)],
-        None,
-    )
+    add("part", numbers[UP], numbers[DOWN], None)
     for spin in (UP, DOWN):
-        for i, rnd in enumerate(rounds):
-            ops = [HoppingOp(p, q, spin) for p, q in rnd]
-            ops += [HoppingOp(r, r, 1 - spin) for r in range(n)]
-            add("one_body", ops, ("round", spin, i))
-    for i, ri in enumerate(rounds):
-        for j, rj in enumerate(rounds):
-            ops = [HoppingOp(p, q, UP) for p, q in ri]
-            ops += [HoppingOp(r, s, DOWN) for r, s in rj]
-            add("diff_spin", ops, ("rounds", i, j))
-    for group in anchor_groups:
-        ops = [
-            HoppingOp(p, q, spin) for spin in (UP, DOWN) for p, q in group.members
-        ]
-        add("same_spin", ops, ("anchor", point_code(group.anchor, pi)))
+        for i, rnd in enumerate(paired[spin]):
+            add("one_body", rnd, numbers[1 - spin], ("round", spin, i))
+    for i, up in enumerate(paired[UP]):
+        for j, down in enumerate(paired[DOWN]):
+            add("diff_spin", up, down, ("rounds", i, j))
+    for group, up, down in zip(anchor_groups, *anchored):
+        add("same_spin", up, down, ("anchor", point_code(group.anchor, pi)))
     return Universe(n, pi, rounds, anchor_groups, cliques)
 
 
@@ -270,9 +276,9 @@ class Hamiltonian:
         }
 
     def save(self, path: str) -> None:
+        # json.dumps encodes in C; json.dump streams through the Python encoder
         with open(path, "w") as f:
-            json.dump(self.to_dict(), f)
-            f.write("\n")
+            f.write(json.dumps(self.to_dict()) + "\n")
 
 
 def _is_number(value) -> bool:

@@ -4,16 +4,23 @@ import hashlib
 import json
 import math
 from functools import cache, partial, reduce
+from itertools import zip_longest
 
 import numpy as np
 import pytest
 
+from planesched import circuits
 from planesched.circuits import (
     GATE_SIGNS,
     DiagonalizationError,
     Gate,
     InvalidSwapError,
+    MeasCircuit,
+    Schedule,
+    _matrix_to_pairs,
     _rotation_layer,
+    _schedule_chunks,
+    _sorted_decode,
     emit,
     emit_schedule,
     load_schedule_dict,
@@ -26,6 +33,7 @@ from planesched.circuits import (
     write_schedule,
 )
 from planesched.cli import main
+from planesched.swapnet import SwapNetwork, position_vector
 from planesched.universe import DOWN, SPIN_NAMES, UP, HoppingOp, build_universe
 
 
@@ -476,3 +484,118 @@ def test_qubit_index_convention():
 def test_gate_validation():
     with pytest.raises(ValueError):
         Gate("H", (1, 1))
+
+
+def reference_emit(clique, mapping: str, n: int) -> MeasCircuit:
+    """The per-operator emitter: each clique's blocks sorted again, and each
+    operator checked and relabeled onto its sorted slots one at a time."""
+    targets, pairs, nets = {}, {}, {}
+    for spin in (UP, DOWN):
+        ops = clique.ops_for_spin(spin)
+        targets[spin] = tuple(position_vector(ops, n))
+        pairs[spin] = sum(not op.is_number for op in ops)
+        nets[spin] = circuits.odd_even_sort(targets[spin])
+    gates = []
+    up, down = ([[map_fswap(l, spin, mapping, n) for l in layer.swaps]
+                 for layer in nets[spin].layers] for spin in (UP, DOWN))
+    for up_layer, down_layer in zip_longest(up, down, fillvalue=[]):
+        gates += up_layer + down_layer
+    m_up, m_down = pairs[UP], pairs[DOWN]
+    gates += _rotation_layer(m_up, m_down, mapping, n)
+    rotation_depth = (2 if mapping == "jw" else 1) if m_up + m_down else 0
+    decode = {}
+    for op in clique.ops:
+        a, b = nets[op.spin].permutation[op.p], nets[op.spin].permutation[op.q]
+        if (a, b) != (targets[op.spin][op.p], targets[op.spin][op.q]):
+            raise DiagonalizationError(f"{op}: swap network left it on slots {a}, {b}")
+        decode[op] = _sorted_decode(HoppingOp(a, b, op.spin), m_up, m_down, mapping, n)
+    return MeasCircuit(tuple(gates), max(len(up), len(down)) + rotation_depth, decode,
+                       {UP: nets[UP].permutation, DOWN: nets[DOWN].permutation})
+
+
+def reference_chunks(schedule):
+    """The writer that encodes every member of every clique record and sorts
+    the record's keys, with gate indices looked up by ``(name, qubits)``."""
+    gate_index = {}
+    op_text = cache(lambda op: _v1_dumps([op.p, op.q, SPIN_NAMES[op.spin]]))
+    table_text = cache(lambda t: f'"qubits":{_v1_dumps(t.qubits)},"values":{_v1_dumps(t.values)}')
+    yield '{"cliques":['
+    for i, (mc, circ) in enumerate(zip(schedule.universe.cliques, schedule.circuits)):
+        decode = ",".join([f'{{"op":{op_text(op)},{table_text(circ.decode[op])}}}'
+                           for op in mc.ops])
+        gates = [gate_index.setdefault((g.name, g.qubits), len(gate_index))
+                 for g in circ.gates]
+        yield ("," if i else "") + _v1_object({
+            "id": _v1_dumps(mc.id),
+            "family": _v1_dumps(mc.family),
+            "source": _v1_dumps(mc.source),
+            "ops": "[" + ",".join(map(op_text, mc.ops)) + "]",
+            "gates": _v1_dumps(gates),
+            "decode": "[" + decode + "]",
+            "depth": _v1_dumps(circ.depth),
+            "permutation": _v1_dumps({"up": circ.permutations[UP],
+                                      "down": circ.permutations[DOWN]}),
+        })
+    names = {name for name, _ in gate_index}
+    yield "]," + _v1_object({
+        "version": _v1_dumps(2),
+        "n_orbitals": _v1_dumps(schedule.n),
+        "mapping": _v1_dumps(schedule.mapping),
+        "plane_order": _v1_dumps(schedule.universe.pi),
+        "families": _v1_dumps(schedule.universe.family_counts()),
+        "gate_defs": _v1_dumps([{"name": name, "qubits": q} for name, q in gate_index]),
+        "gate_matrices": _v1_dumps({name: _matrix_to_pairs(GATE_SIGNS[name])
+                                    for name in names & {"FSWAP2", "FSWAP3", "FSWAP_EDGE"}}),
+    })[1:] + "\n"
+
+
+def circuit_key(circ: MeasCircuit):
+    """A circuit's content, gates by ``(name, qubits)``."""
+    return ([(g.name, g.qubits) for g in circ.gates], circ.depth, circ.decode,
+            circ.permutations)
+
+
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+def test_block_emission_and_writer_equal_the_per_operator_references(mapping):
+    for n in range(2, 13):
+        universe = build_universe(n)
+        schedule = emit_schedule(universe, mapping)
+        for mc, circ in zip(universe.cliques, schedule.circuits):
+            assert circuit_key(circ) == circuit_key(reference_emit(mc, mapping, n)), (n, mc.id)
+        assert schedule_json(schedule) == "".join(reference_chunks(schedule)), n
+        # gates rebuilt as fresh objects reach the writer's (name, qubits)
+        # fallback for every gate, and must give the same indices
+        fresh = Schedule(n, mapping, universe, [
+            circ._replace(gates=tuple(Gate(g.name, g.qubits) for g in circ.gates))
+            for circ in schedule.circuits
+        ])
+        assert "".join(_schedule_chunks(fresh)) == schedule_json(schedule), n
+
+
+@pytest.fixture
+def clear_block_caches():
+    """Empty the emission caches before and after a test that patches the
+    sorting network, so no broken block outlives it."""
+    caches = (circuits._network, circuits._block, circuits._slot_tables, circuits._sorted_decode)
+    for fn in caches:
+        fn.cache_clear()
+    yield
+    for fn in caches:
+        fn.cache_clear()
+
+
+def test_network_that_leaves_an_operator_off_its_slot_is_a_diagonalization_error(
+        monkeypatch, clear_block_caches):
+    # a network that never swaps: A(0, 2) keeps slots 0, 2 but was given 0, 1
+    monkeypatch.setattr(circuits, "odd_even_sort",
+                        lambda p: SwapNetwork(len(p), (), tuple(range(len(p)))))
+    universe = build_universe(4)
+    clique = next(c for c in universe.cliques if HoppingOp(0, 2, UP) in c.ops)
+    text = "HoppingOp(p=0, q=2, spin=0): swap network left it on slots 0, 2"
+    with pytest.raises(DiagonalizationError) as exc:
+        reference_emit(clique, "jw", 4)
+    assert str(exc.value) == text
+    for mapping in ("jw", "parity"):
+        with pytest.raises(DiagonalizationError) as exc:
+            emit(clique, mapping, 4)
+        assert str(exc.value) == text

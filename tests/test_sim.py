@@ -1,5 +1,9 @@
 """Statevector oracle checks: gates, operators, estimation, and sampling."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -43,6 +47,34 @@ from planesched.universe import (
     decompose,
     random_hamiltonian,
 )
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_importing_sim_pins_blas_threads_unless_set(preset, expected):
+    """``sim`` is where numpy first loads, so importing it sets one OpenBLAS
+    thread whoever imports it, before numpy starts to load; a value already
+    set wins."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    package_root = os.path.dirname(os.path.dirname(sim.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    # the child prints the variable as it stands when numpy is first looked up
+    script = """
+import os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Spy())
+import planesched.sim
+print(seen[0])
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == expected + "\n"
 
 
 def test_apply_gate_matches_sparse_embedding():

@@ -1,5 +1,6 @@
 """Term classification, clique families, routing, and the Hamiltonian model."""
 
+import json
 import math
 from functools import cache
 from itertools import product
@@ -9,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planesched.cover import place_s_points
+from planesched import universe as universe_mod
+from planesched.cover import build_cover, place_s_points
+from planesched.gf import smallest_prime_at_least
 from planesched.plane import gamma_point, point_code
+from planesched.roundrobin import build_rounds
 from planesched.sim import dense_hamiltonian, term_matrix
 from planesched.universe import (
     DOWN,
@@ -18,6 +22,7 @@ from planesched.universe import (
     CoverageError,
     Hamiltonian,
     HoppingOp,
+    MeasurementClique,
     build_universe,
     classify_terms,
     decompose,
@@ -111,6 +116,44 @@ def test_clique_ops_within_spin_are_index_disjoint():
                 for op in clique.ops_for_spin(spin):
                     assert not (seen & op.indices)
                     seen |= op.indices
+
+
+def reference_cliques(n: int) -> list[MeasurementClique]:
+    """The cliques built one at a time, each operator made for its clique."""
+    pi = smallest_prime_at_least(max(2, n - 1))
+    rounds, cliques = build_rounds(n), []
+
+    def add(family, ops, source):
+        cliques.append(MeasurementClique(len(cliques), family, tuple(ops), source))
+
+    add("part", [HoppingOp(p, p, spin) for spin in (UP, DOWN) for p in range(n)], None)
+    for spin in (UP, DOWN):
+        for i, rnd in enumerate(rounds):
+            add("one_body", [HoppingOp(p, q, spin) for p, q in rnd]
+                + [HoppingOp(r, r, 1 - spin) for r in range(n)], ("round", spin, i))
+    for i, ri in enumerate(rounds):
+        for j, rj in enumerate(rounds):
+            add("diff_spin", [HoppingOp(p, q, UP) for p, q in ri]
+                + [HoppingOp(r, s, DOWN) for r, s in rj], ("rounds", i, j))
+    for group in build_cover(pi, n):
+        add("same_spin", [HoppingOp(p, q, spin) for spin in (UP, DOWN) for p, q in group.members],
+            ("anchor", point_code(group.anchor, pi)))
+    return cliques
+
+
+def test_cliques_from_shared_blocks_equal_the_one_at_a_time_reference():
+    for n in range(2, 15):
+        assert build_universe(n).cliques == reference_cliques(n), n
+
+
+def test_overlapping_rounds_fail_the_block_disjointness_check(monkeypatch):
+    # one round pairs index 1 twice
+    monkeypatch.setattr(universe_mod, "build_rounds",
+                        lambda n: [((0, 1), (1, 2))] + build_rounds(n)[1:])
+    with pytest.raises(ValueError, match=r"^non-disjoint indices within spin sector: "
+                                         r"\(HoppingOp\(p=0, q=1, spin=0\), "
+                                         r"HoppingOp\(p=1, q=2, spin=0\)\)$"):
+        build_universe(4)
 
 
 def test_every_term_routes():
@@ -236,10 +279,12 @@ def test_hamiltonian_roundtrip(tmp_path):
     ham = random_hamiltonian(3, seed=1)
     path = tmp_path / "ham.json"
     ham.save(str(path))
+    # one json.dumps text and a newline
+    assert path.read_text() == json.dumps(ham.to_dict()) + "\n"
     loaded = load_hamiltonian(str(path))
     assert loaded.n_orbitals == 3
-    assert np.allclose(loaded.h, ham.h)
-    assert np.allclose(loaded.g, ham.g)
+    assert np.array_equal(loaded.h, ham.h)
+    assert np.array_equal(loaded.g, ham.g)
     assert loaded.e_nuc == ham.e_nuc
 
 
