@@ -26,10 +26,12 @@ so emitting, writing and checking a schedule never loads numpy.
 
 Every gate is Clifford, so decode tables are exact: the Pauli form of the
 operator that the swap network leaves on the sorted slots is conjugated
-through the rotation layer (``pauli.conjugate``) and must come out diagonal
-on the operator's own support.  That table depends only on the sorted
-operator and the rotation layer, so each distinct one is computed once.
-Hopping operators decode to {-1, 0, +1}, number operators to {0, 1}.
+through its own spin block's rotation layers and must come out diagonal on
+the operator's own support.  No rotation gate of one block reaches the
+support of an operator of the other block (under parity the up block's
+Hadamards sit on qubits 2k <= N-2, never on qubit N-1), so the other
+block cannot change the table.  Hopping operators decode to {-1, 0, +1},
+number operators to {0, 1}.
 
 One decode path turns a conjugated form into a table, for emission and the
 tripwire alike.  It is a pure function of the form, the support and whether
@@ -43,16 +45,16 @@ rule, whatever the number of strings.
 
 A clique is one up-spin block times one down-spin block (see ``universe``),
 and many cliques share a block, so emission works a block at a time.  Each
-distinct block is sorted once (``_block``): its position vector, network,
-per-layer swap gates, hopping count and the check that the network leaves
-every operator on its slots.  ``position_vector`` puts hopping operator k
-on slots (2k, 2k+1) and the number operators after them, so a block's
-decode tables depend only on its slot layout, its spin, and the two blocks'
-hopping counts that fix the rotation layer (``_slot_tables``); a clique's
-tables are its blocks' layout tables, read in block order.  Emission builds
-one immutable ``Gate`` per ``(name, qubits)`` and shares each block's gate
-tuples and each rotation layer among the circuits that use them; only the
-merge of the two blocks' layers is made per clique.
+distinct block is built once (``_block``): its network, per-layer swap
+gates, rotation layers (``_rotation``), the check that the network leaves
+every operator on its slots, and each operator's decode table.
+``position_vector`` puts hopping operator k on slots (2k, 2k+1) and the
+number operators after them, so the tables depend only on the block's slot
+layout, spin and mapping, and each layout's operators are conjugated
+together, once (``_slot_tables``).  Emission builds one immutable ``Gate``
+per ``(name, qubits)`` and shares each block's gate tuples among the
+circuits that use them; per clique only the merge is made: the two blocks'
+swap layers, then their rotation layers, up block first.
 """
 
 from __future__ import annotations
@@ -205,20 +207,21 @@ def map_fswap(l: int, spin: int, mapping: str, n: int) -> Gate:
 
 
 @cache
-def _rotation_layer(m_up: int, m_down: int, mapping: str, n: int) -> tuple[Gate, ...]:
-    """Basis-rotation gates for sorted hopping pairs (m_up up pairs, m_down
-    down), one tuple shared by every circuit with these pair counts."""
+def _rotation(spin: int, pairs: int, mapping: str, n: int) -> tuple[tuple[Gate, ...], ...]:
+    """Basis-rotation layers of a spin block whose hopping operator k sits on
+    slots (2k, 2k+1), k < ``pairs``, acting on each pair's lower qubit: a
+    CNOT layer then a Hadamard layer under Jordan-Wigner, the Hadamard layer
+    alone under parity, and no layer without pairs.  One tuple, shared by
+    every circuit that holds such a block."""
     if mapping not in ("jw", "parity"):
         raise ValueError(f"unknown mapping: {mapping!r}")
-    pair_qubits = [
-        qubit_index(2 * l, spin, n)
-        for spin, m in ((UP, m_up), (DOWN, m_down))
-        for l in range(m)
-    ]
-    hadamards = tuple(_gate("H", (q,)) for q in pair_qubits)
+    if not pairs:
+        return ()
+    lows = [qubit_index(2 * k, spin, n) for k in range(pairs)]
+    hadamards = tuple([_gate("H", (q,)) for q in lows])
     if mapping == "jw":
-        return tuple(_gate("CNOT", (q, q + 1)) for q in pair_qubits) + hadamards
-    return hadamards
+        return tuple([_gate("CNOT", (q, q + 1)) for q in lows]), hadamards
+    return (hadamards,)
 
 
 @cache
@@ -264,35 +267,28 @@ def _decode_from_diagonal(
 
 
 @cache
-def _sorted_decode(
-    sorted_op: HoppingOp, m_up: int, m_down: int, mapping: str, n: int
-) -> DecodeTable:
-    """Decode table of an operator the swap network has left on its sorted
-    slots.  Nothing else enters it, so each one is computed once."""
-    local = pauli.operator_paulis(sorted_op, mapping, n)
-    rotated = pauli.conjugate(local, _rotation_layer(m_up, m_down, mapping, n))
-    return _decode_from_diagonal(
-        pauli.support(local), rotated, sorted_op.is_number, sorted_op, "on its sorted slots"
-    )
-
-
-@cache
-def _slot_tables(
-    spin: int, pairs: int, numbers: int, m_up: int, m_down: int, mapping: str, n: int
-) -> tuple[DecodeTable, ...]:
+def _slot_tables(spin: int, pairs: int, numbers: int, mapping: str,
+                 n: int) -> tuple[DecodeTable, ...]:
     """Decode tables of a block's slot layout: hopping operator k sorted onto
     slots (2k, 2k+1) of spin block ``spin``, then each number operator on
-    the next slot, in that order."""
+    the next slot, in that order, all conjugated together through the
+    block's own rotation layers."""
     first = 2 * pairs
     sorted_ops = [HoppingOp(2 * k, 2 * k + 1, spin) for k in range(pairs)]
     sorted_ops += [HoppingOp(s, s, spin) for s in range(first, first + numbers)]
-    return tuple([_sorted_decode(op, m_up, m_down, mapping, n) for op in sorted_ops])
+    forms = [pauli.operator_paulis(op, mapping, n) for op in sorted_ops]
+    gates = [g for layer in _rotation(spin, pairs, mapping, n) for g in layer]
+    rotated = pauli.conjugate_all(forms, gates, 2 * n)
+    return tuple([
+        _decode_from_diagonal(pauli.support(form), image, op.is_number, op, "on its sorted slots")
+        for op, form, image in zip(sorted_ops, forms, rotated)
+    ])
 
 
 # one spin block's share of every circuit that holds it: its swap gates per
-# network layer, the network's permutation, its hopping and number operator
-# counts, and each operator's index in the slot layout
-_Block = namedtuple("_Block", ["layers", "permutation", "pairs", "numbers", "slots"])
+# network layer, its rotation layers, the network's permutation and each
+# operator's decode table, in block order
+_Block = namedtuple("_Block", ["layers", "rotation", "permutation", "tables"])
 
 
 @cache
@@ -303,15 +299,16 @@ def _block(ops: tuple[HoppingOp, ...], spin: int, mapping: str, n: int) -> _Bloc
     target = tuple(position_vector(ops, n))
     net = _network(target)
     pairs = sum(not op.is_number for op in ops)
-    slots = []
+    layout = _slot_tables(spin, pairs, len(ops) - pairs, mapping, n)
+    tables = []
     for op in ops:
         a, b = net.permutation[op.p], net.permutation[op.q]
         if (a, b) != (target[op.p], target[op.q]):
             raise DiagonalizationError(f"{op}: swap network left it on slots {a}, {b}")
-        slots.append(a - pairs if op.is_number else a // 2)
+        tables.append(layout[a - pairs if op.is_number else a // 2])
     fswaps = _block_swaps(spin, mapping, n)
     layers = tuple(tuple([fswaps[l] for l in layer.swaps]) for layer in net.layers)
-    return _Block(layers, net.permutation, pairs, len(ops) - pairs, tuple(slots))
+    return _Block(layers, _rotation(spin, pairs, mapping, n), net.permutation, tuple(tables))
 
 
 def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
@@ -321,30 +318,18 @@ def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
     up_ops, down_ops = clique.ops_for_spin(UP), clique.ops_for_spin(DOWN)
     up, down = _block(up_ops, UP, mapping, n), _block(down_ops, DOWN, mapping, n)
 
-    # the two blocks' swaps share each layer, up block first
+    # the two blocks share each swap layer, then each rotation layer, up block first
     gates: list[Gate] = []
-    for up_layer, down_layer in zip_longest(up.layers, down.layers, fillvalue=()):
-        gates += up_layer
-        gates += down_layer
-    swap_depth = max(len(up.layers), len(down.layers))
+    depth = 0
+    for up_layers, down_layers in ((up.layers, down.layers), (up.rotation, down.rotation)):
+        for up_layer, down_layer in zip_longest(up_layers, down_layers, fillvalue=()):
+            gates += up_layer
+            gates += down_layer
+        depth += max(len(up_layers), len(down_layers))
 
-    m_up, m_down = up.pairs, down.pairs
-    gates += _rotation_layer(m_up, m_down, mapping, n)
-    rotation_depth = 0
-    if m_up + m_down:
-        rotation_depth = 2 if mapping == "jw" else 1
+    decode = dict(zip(up_ops + down_ops, up.tables + down.tables))
+    return MeasCircuit(tuple(gates), depth, decode, {UP: up.permutation, DOWN: down.permutation})
 
-    decode: dict[HoppingOp, DecodeTable] = {}
-    for spin, ops, block in ((UP, up_ops, up), (DOWN, down_ops, down)):
-        tables = _slot_tables(spin, block.pairs, block.numbers, m_up, m_down, mapping, n)
-        decode.update(zip(ops, map(tables.__getitem__, block.slots)))
-
-    return MeasCircuit(
-        gates=tuple(gates),
-        depth=swap_depth + rotation_depth,
-        decode=decode,
-        permutations={UP: up.permutation, DOWN: down.permutation},
-    )
 
 SCHEDULE_VERSION = 2
 

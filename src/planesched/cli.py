@@ -77,7 +77,7 @@ def _schedule_file_problems(path: str, schedule: circuits_mod.Schedule | None) -
         if circuits_mod.schedule_file_matches(schedule, path):
             return []
         data = circuits_mod.load_schedule_dict(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         return [f"unreadable schedule file: {exc}"]
     return circuits_mod.verify_schedule_dict(data, schedule)
 
@@ -197,7 +197,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     try:
         ham = load_hamiltonian(args.hamiltonian)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot load Hamiltonian from {args.hamiltonian}: {exc}", file=sys.stderr)
         return 1
     n = ham.n_orbitals
@@ -216,7 +216,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     schedule = _build_schedule(n, args.mapping)
     try:
         occ = _parse_state(args.state, 2 * n)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: bad state spec {args.state!r}: {exc}", file=sys.stderr)
         return 2
     state = sim_mod.occupation_to_qubit_state(occ, args.mapping, 2 * n)

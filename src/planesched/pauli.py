@@ -186,8 +186,8 @@ def _edges(bits: int) -> tuple[int, ...]:
 
 
 def conjugate_all(forms: list[PauliForm], gates, n_qubits: int) -> list[PauliForm]:
-    """``conjugate(form, gates)`` for every form at once, on ``n_qubits``
-    qubits that hold every string and gate.
+    """U F U^dag for every form F, exactly, with U the gates in execution
+    order, on ``n_qubits`` qubits that hold every string and gate.
 
     The forms' strings are the rows of a bit matrix kept by column: each
     qubit has one int of X bits and one of Z bits, with bit r for row r, and
@@ -234,22 +234,6 @@ def conjugate_all(forms: list[PauliForm], gates, n_qubits: int) -> list[PauliFor
             r += 1
         out.append(image)
     return out
-
-
-def conjugate(paulis: PauliForm, gates) -> PauliForm:
-    """U O U^dag for the gates in execution order, exactly.
-
-    A gate on qubits that no string can have reached yet acts on the
-    identity there, so it is left out.
-    """
-    reached = reduce(int.__or__, (x | z for x, z in paulis), 0)
-    acting = []
-    for gate in gates:
-        span = ((1 << len(gate.qubits)) - 1) << gate.qubits[0]
-        if reached & span:
-            acting.append(gate)
-            reached |= span
-    return conjugate_all([paulis], acting, reached.bit_length())[0]
 
 
 def support(paulis: PauliForm) -> tuple[int, ...]:

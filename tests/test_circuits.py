@@ -9,7 +9,7 @@ from itertools import zip_longest
 import numpy as np
 import pytest
 
-from planesched import circuits
+from planesched import circuits, pauli
 from planesched.circuits import (
     GATE_SIGNS,
     DiagonalizationError,
@@ -17,10 +17,10 @@ from planesched.circuits import (
     InvalidSwapError,
     MeasCircuit,
     Schedule,
+    _decode_from_diagonal,
     _matrix_to_pairs,
-    _rotation_layer,
+    _rotation,
     _schedule_chunks,
-    _sorted_decode,
     emit,
     emit_schedule,
     load_schedule_dict,
@@ -134,13 +134,21 @@ def test_map_fswap_rejects_block_crossing():
 
 
 def test_diag_layer_shapes():
-    gates = _rotation_layer(1, 0, "jw", 4)
-    assert [g.name for g in gates] == ["CNOT", "H"]
-    assert gates[0].qubits == (0, 1) and gates[1].qubits == (0,)
-    gates = _rotation_layer(2, 1, "parity", 5)
-    assert [g.name for g in gates] == ["H", "H", "H"]
-    assert [g.qubits for g in gates] == [(0,), (2,), (5,)]
-    assert _rotation_layer(0, 0, "jw", 4) == ()
+    cnots, hadamards = _rotation(UP, 1, "jw", 4)
+    assert [g.name for g in cnots + hadamards] == ["CNOT", "H"]
+    assert cnots[0].qubits == (0, 1) and hadamards[0].qubits == (0,)
+    cnots, hadamards = _rotation(DOWN, 2, "jw", 5)
+    assert [g.qubits for g in cnots] == [(5, 6), (7, 8)]
+    assert [g.qubits for g in hadamards] == [(5,), (7,)]
+    (hadamards,) = _rotation(UP, 2, "parity", 5)
+    assert [g.name for g in hadamards] == ["H", "H"]
+    assert [g.qubits for g in hadamards] == [(0,), (2,)]
+    (hadamards,) = _rotation(DOWN, 1, "parity", 5)
+    assert [(g.name, g.qubits) for g in hadamards] == [("H", (5,))]
+    assert _rotation(UP, 0, "jw", 4) == ()
+    assert _rotation(DOWN, 0, "parity", 4) == ()
+    with pytest.raises(ValueError, match="unknown mapping"):
+        _rotation(UP, 1, "bk", 4)
 
 
 def test_emit_particle_number_clique_is_identity():
@@ -385,13 +393,15 @@ def test_shared_emission_caches_keep_each_schedule_pinned():
         text = schedule_json(schedule)
         assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_SHA256[n, mapping]
         assert all(type(circ.gates) is tuple for circ in schedule.circuits)
-    # the shared rotation layer is immutable, so no caller can empty it
-    assert type(_rotation_layer(2, 1, "jw", 4)) is tuple
-    assert _rotation_layer(2, 1, "jw", 4) != ()
-    assert _rotation_layer(0, 0, "jw", 4) == ()
+    # the shared rotation layers are immutable, so no caller can empty them
+    assert type(_rotation(UP, 2, "jw", 4)) is tuple
+    assert [type(layer) for layer in _rotation(UP, 2, "jw", 4)] == [tuple, tuple]
+    assert _rotation(UP, 2, "jw", 4) != ()
+    assert _rotation(DOWN, 0, "jw", 4) == ()
     # one object per distinct gate
     assert map_fswap(2, DOWN, "parity", 6) is map_fswap(2, DOWN, "parity", 6)
-    assert _rotation_layer(1, 0, "jw", 4)[1] is _rotation_layer(1, 1, "jw", 4)[2]
+    assert _rotation(UP, 1, "jw", 4)[1][0] is _rotation(UP, 2, "jw", 4)[1][0]
+    assert _rotation(UP, 1, "parity", 4)[0][0] is _rotation(UP, 1, "jw", 4)[1][0]
 
 
 def test_written_file_equals_schedule_json(tmp_path):
@@ -486,6 +496,31 @@ def test_gate_validation():
         Gate("H", (1, 1))
 
 
+def reference_rotation_layer(m_up: int, m_down: int, mapping: str, n: int) -> list[Gate]:
+    """The clique-wide rotation layer: a CNOT on each sorted pair's lower
+    qubit and the next, up pairs then down pairs, under Jordan-Wigner only,
+    then a Hadamard on each pair's lower qubit in the same order."""
+    pair_qubits = [qubit_index(2 * l, spin, n)
+                   for spin, m in ((UP, m_up), (DOWN, m_down)) for l in range(m)]
+    hadamards = [Gate("H", (q,)) for q in pair_qubits]
+    if mapping == "jw":
+        return [Gate("CNOT", (q, q + 1)) for q in pair_qubits] + hadamards
+    return hadamards
+
+
+@cache
+def reference_sorted_decode(sorted_op: HoppingOp, m_up: int, m_down: int, mapping: str,
+                            n: int):
+    """Decode table of an operator on its sorted slots, conjugated alone
+    through the whole clique's rotation layer."""
+    local = pauli.operator_paulis(sorted_op, mapping, n)
+    rotated = pauli.conjugate_all(
+        [local], reference_rotation_layer(m_up, m_down, mapping, n), 2 * n)[0]
+    return _decode_from_diagonal(
+        pauli.support(local), rotated, sorted_op.is_number, sorted_op, "on its sorted slots"
+    )
+
+
 def reference_emit(clique, mapping: str, n: int) -> MeasCircuit:
     """The per-operator emitter: each clique's blocks sorted again, and each
     operator checked and relabeled onto its sorted slots one at a time."""
@@ -501,14 +536,14 @@ def reference_emit(clique, mapping: str, n: int) -> MeasCircuit:
     for up_layer, down_layer in zip_longest(up, down, fillvalue=[]):
         gates += up_layer + down_layer
     m_up, m_down = pairs[UP], pairs[DOWN]
-    gates += _rotation_layer(m_up, m_down, mapping, n)
+    gates += reference_rotation_layer(m_up, m_down, mapping, n)
     rotation_depth = (2 if mapping == "jw" else 1) if m_up + m_down else 0
     decode = {}
     for op in clique.ops:
         a, b = nets[op.spin].permutation[op.p], nets[op.spin].permutation[op.q]
         if (a, b) != (targets[op.spin][op.p], targets[op.spin][op.q]):
             raise DiagonalizationError(f"{op}: swap network left it on slots {a}, {b}")
-        decode[op] = _sorted_decode(HoppingOp(a, b, op.spin), m_up, m_down, mapping, n)
+        decode[op] = reference_sorted_decode(HoppingOp(a, b, op.spin), m_up, m_down, mapping, n)
     return MeasCircuit(tuple(gates), max(len(up), len(down)) + rotation_depth, decode,
                        {UP: nets[UP].permutation, DOWN: nets[DOWN].permutation})
 
@@ -572,11 +607,35 @@ def test_block_emission_and_writer_equal_the_per_operator_references(mapping):
         assert "".join(_schedule_chunks(fresh)) == schedule_json(schedule), n
 
 
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+def test_no_rotation_gate_reaches_the_other_blocks_sorted_operators(mapping):
+    """Why each block's decode tables are its own: the rotation gates of one
+    spin block act on no qubit of any sorted operator of the other block, so
+    the other block's rotation leaves those operators' forms unchanged."""
+    for n in range(2, 13):
+        for mc in build_universe(n).cliques:
+            rotated, supports = {}, {}
+            for spin in (UP, DOWN):
+                ops = mc.ops_for_spin(spin)
+                perm = circuits.odd_even_sort(tuple(position_vector(ops, n))).permutation
+                pairs = sum(not op.is_number for op in ops)
+                rotated[spin] = {q for layer in _rotation(spin, pairs, mapping, n)
+                                 for g in layer for q in g.qubits}
+                supports[spin] = [
+                    (op, set(pauli.support(pauli.operator_paulis(
+                        HoppingOp(perm[op.p], perm[op.q], spin), mapping, n))))
+                    for op in ops
+                ]
+            for spin, other in ((UP, DOWN), (DOWN, UP)):
+                for op, support in supports[other]:
+                    assert not rotated[spin] & support, (n, mc.id, op)
+
+
 @pytest.fixture
 def clear_block_caches():
     """Empty the emission caches before and after a test that patches the
     sorting network, so no broken block outlives it."""
-    caches = (circuits._network, circuits._block, circuits._slot_tables, circuits._sorted_decode)
+    caches = (circuits._network, circuits._block, circuits._slot_tables)
     for fn in caches:
         fn.cache_clear()
     yield

@@ -456,6 +456,45 @@ def test_estimate_rejects_zero_or_non_finite_amplitudes(tmp_path, capsys):
             assert err.count("\n") == 1
 
 
+# nesting far deeper than the interpreter's recursion limit: the json
+# decoder raises RecursionError, which each load must report as bad input
+DEEP_JSON = "[" * 100_000
+DEEP_ERROR = "maximum recursion depth exceeded"
+
+
+def test_verify_out_reports_a_too_deeply_nested_schedule_file(tmp_path, capsys):
+    path = tmp_path / "sched.json"
+    path.write_text(DEEP_JSON)
+    code, out = run(capsys, "verify", "--orbitals", "3", "--out", str(path))
+    assert code == 1
+    problems = [line for line in out.splitlines() if line.startswith("schedule_file_problem: ")]
+    assert len(problems) == 1
+    assert problems[0].startswith("schedule_file_problem: unreadable schedule file: ")
+    assert DEEP_ERROR in problems[0]
+    assert "schedule_file_check: fail" in out and out.endswith("verify_result: fail\n")
+
+
+def test_estimate_reports_a_too_deeply_nested_hamiltonian(tmp_path, capsys):
+    path = tmp_path / "ham.json"
+    path.write_text(DEEP_JSON)
+    assert main(["estimate", "--hamiltonian", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot load Hamiltonian from {path}: ")
+    assert DEEP_ERROR in captured.err and captured.err.count("\n") == 1
+
+
+def test_estimate_reports_a_too_deeply_nested_state_file(tmp_path, capsys):
+    ham_path, state_path = tmp_path / "ham.json", tmp_path / "state.json"
+    random_hamiltonian(2, seed=4).save(str(ham_path))
+    state_path.write_text(DEEP_JSON)
+    assert main(["estimate", "--hamiltonian", str(ham_path), "--state", str(state_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad state spec {str(state_path)!r}: ")
+    assert DEEP_ERROR in captured.err and captured.err.count("\n") == 1
+
+
 def test_cli_runs_without_scipy(tmp_path):
     """``schedule``, ``verify`` and ``stats`` use the standard library only;
     ``estimate`` loads numpy and ``sim``, and scipy loads when the dense

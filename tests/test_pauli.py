@@ -65,7 +65,8 @@ def test_conjugation_matches_scipy_oracle():
             schedule = emit_schedule(universe, mapping)
             for mc, circ in zip(universe.cliques, schedule.circuits):
                 for op in mc.ops:
-                    exact = pauli.conjugate(pauli.operator_paulis(op, mapping, n), circ.gates)
+                    exact = pauli.conjugate_all(
+                        [pauli.operator_paulis(op, mapping, n)], circ.gates, 2 * n)[0]
                     oracle = sim.conjugate_by_circuit(
                         sim.operator_matrix(op, mapping, n), circ.gates, 2 * n
                     )
@@ -80,7 +81,7 @@ def test_non_clifford_gate_rejected():
                                 for i in range(8)))
     ccz_gate = SimpleNamespace(name="CCZ", qubits=(0, 1, 2), sign_matrix=lambda: ccz)
     with pytest.raises(ValueError, match="not Clifford"):
-        pauli.conjugate(pauli.operator_paulis(HoppingOp(0, 1, UP), "jw", 2), [ccz_gate])
+        pauli.conjugate_all([pauli.operator_paulis(HoppingOp(0, 1, UP), "jw", 2)], [ccz_gate], 4)
 
 
 def reference_image_table(name, matrix):
@@ -149,7 +150,7 @@ def test_decode_rejects_each_failure_without_tolerance():
         _decode_from_diagonal((0,), number, True, "number")
     with pytest.raises(DiagonalizationError, match="eigenvalues"):
         _decode_from_diagonal((0,), {(0, 1): 1}, False, "half")
-    rotated = pauli.conjugate(hop, [Gate("CNOT", (0, 1)), Gate("H", (0,))])
+    rotated = pauli.conjugate_all([hop], [Gate("CNOT", (0, 1)), Gate("H", (0,))], 4)[0]
     assert _decode_from_diagonal((0, 1), rotated, False, "hop").values == (0, 1, 0, -1)
     with pytest.raises(DiagonalizationError, match="eigenvalues"):
         _decode_from_diagonal((0, 1), rotated, True, "hop as number")
@@ -237,7 +238,8 @@ def test_decode_cache_cannot_hide_a_corrupt_table():
     pair = None
     for mc, circ in zip(schedule.universe.cliques, schedule.circuits):
         for op in mc.ops:
-            form = pauli.conjugate(pauli.operator_paulis(op, mapping, n), circ.gates)
+            form = pauli.conjugate_all(
+                [pauli.operator_paulis(op, mapping, n)], circ.gates, 2 * n)[0]
             key = (frozenset(form.items()), circ.decode[op].qubits, op.is_number)
             first = owner.setdefault(key, (mc.id, op))
             if pair is None and first[0] != mc.id:
@@ -312,7 +314,7 @@ def test_every_operator_decodes_as_the_fraction_reference(mapping):
             for op in mc.ops:
                 table = circ.decode[op]
                 full = pauli.operator_paulis(op, mapping, n)
-                exact = pauli.conjugate(full, circ.gates)
+                exact = pauli.conjugate_all([full], circ.gates, 2 * n)[0]
                 reference = reference_conjugate(full, circ.gates)
                 assert {s: Fraction(c, 2) for s, c in exact.items()} == reference, (n, op)
                 assert reference_decode(table.qubits, reference, op.is_number) == table, (n, op)
@@ -441,4 +443,4 @@ def test_conjugate_all_equals_one_form_at_a_time():
         forms = [pauli.operator_paulis(op, mapping, n) for op in mc.ops]
         together = pauli.conjugate_all(forms, circ.gates, 2 * n)
         assert together == [reference_string_conjugate(f, circ.gates) for f in forms]
-        assert together == [pauli.conjugate(f, circ.gates) for f in forms]
+        assert together == [pauli.conjugate_all([f], circ.gates, 2 * n)[0] for f in forms]
