@@ -1,14 +1,15 @@
 """Measurement scheduling for molecular Hamiltonians via finite projective planes.
 
 Builds the 2N^2 - 2N + 1 simultaneously measurable operator groups for a
-2N-spin-orbital Hamiltonian, emits per-group measurement circuits under the
-Jordan-Wigner and parity mappings, and verifies the whole pipeline against
-exact statevector oracles at small N.
+2N-spin-orbital Hamiltonian (N even, N - 1 a prime or an odd prime power),
+emits per-group measurement circuits under the Jordan-Wigner and parity
+mappings, and verifies the whole pipeline against exact statevector oracles
+at small N.
 """
 
 from .circuits import Schedule, emit, emit_schedule, schedule_json, write_schedule
 from .cover import build_cover, check_no_three_collinear, check_unique_tangent, place_s_points
-from .gf import smallest_prime_at_least
+from .gf import plane_order_at_least, smallest_prime_at_least
 from .graphcheck import build_graph, lower_bound, verify_cover
 from .plane import build_plane
 from .roundrobin import build_rounds
@@ -58,6 +59,7 @@ __all__ = [
     "load_hamiltonian",
     "lower_bound",
     "place_s_points",
+    "plane_order_at_least",
     "random_hamiltonian",
     "route_term",
     "schedule_json",

@@ -535,8 +535,8 @@ def _diff_json(expected, actual, path: str, out: list[str], limit: int = 10) -> 
 def verify_schedule_dict(data: dict, schedule: Schedule) -> list[str]:
     """Every divergence of a loaded schedule document from ``schedule``.
 
-    A file for another size, mapping or format version is reported by its
-    header alone.
+    A file for another size, mapping or format version, or one of this size
+    on another plane, is reported by its header alone.
     """
     if not isinstance(data, dict):
         return [f"schedule: expected dict, got {type(data).__name__}"]
@@ -546,6 +546,10 @@ def verify_schedule_dict(data: dict, schedule: Schedule) -> list[str]:
         for key in ("version", "n_orbitals", "mapping")
         if data.get(key) != expected[key]
     ]
+    # the plane order follows from the size, so it is news only at the same size
+    if not problems and data.get("plane_order") != expected["plane_order"]:
+        problems.append(f"plane_order: file has {data.get('plane_order')!r}, "
+                        f"expected {expected['plane_order']!r}")
     if not problems:
         _diff_json(expected, data, "schedule", problems)
     return problems

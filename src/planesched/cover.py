@@ -1,20 +1,22 @@
 """Anchor groups of index pairs, extracted from the projective plane.
 
-Orbital label k < p is placed on the point (1, k, k^2) and label p on the
-alpha point (0, 0, 1): together they are the conic x^2 = yz, an oval that
-meets every line in at most two points and has one tangent per point.  Each
-index pair (l, l') is assigned the line joining its two labels, and each
-diagonal pair (l, l) the tangent at its label.  Collecting, for every
-off-conic anchor point, the pairs whose lines pass through that anchor
-yields p^2 groups whose members are pairwise index-disjoint: two of their
-lines meet only at the anchor, never at a shared label.  Those groups are
-exactly the simultaneously measurable same-spin sets used by the scheduler.
+In the plane of order q, orbital label k < q is placed on the point
+(1, k, k^2), k read as a GF(q) element code, and label q on the alpha point
+(0, 0, 1): together they are the conic x^2 = yz, an oval that meets every
+line in at most two points and has one tangent per point.  Each index pair
+(l, l') is assigned the line joining its two labels, and each diagonal pair
+(l, l) the tangent at its label.  Collecting, for every off-conic anchor
+point, the pairs whose lines pass through that anchor yields q^2 groups
+whose members are pairwise index-disjoint: two of their lines meet only at
+the anchor, never at a shared label.  Those groups are exactly the
+simultaneously measurable same-spin sets used by the scheduler.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
+from .gf import field
 from .plane import (
     Triple,
     alpha_point,
@@ -33,21 +35,23 @@ class PairClique(namedtuple("PairClique", ["anchor", "members", "flagged"])):
     """Index pairs (``members``) attached to one ``anchor`` point.
 
     ``flagged`` marks groups left with fewer than two members after index
-    truncation; they are retained so the group count stays exactly p^2.
+    truncation; they are retained so the group count stays exactly q^2.
     """
 
     __slots__ = ()
 
 
 def place_s_points(pi: int) -> list[Triple]:
-    """Label placement on the conic: S(k) = (1, k, k^2) for k < p, S(p) = alpha."""
-    return [gamma_point(k, (k * k) % pi) for k in range(pi)] + [alpha_point()]
+    """Label placement on the conic: S(k) = (1, k, k^2) for k < q, S(q) = alpha."""
+    mul = field(pi).mul
+    return [gamma_point(k, mul[k][k]) for k in range(pi)] + [alpha_point()]
 
 
 def tangent_line(pt: Triple, pi: int) -> Triple:
     """The tangent to the conic x^2 = yz at one of its points: the gradient line (-y, 2x, -z)."""
+    f = field(pi)
     z, x, y = pt
-    return normalize((-y, 2 * x, -z), pi)
+    return normalize((f.neg[y], f.add[x][x], f.neg[z]), pi)
 
 
 def vertex_line(v: Vertex, s: list[Triple]) -> Triple:
@@ -60,10 +64,10 @@ def vertex_line(v: Vertex, s: list[Triple]) -> Triple:
 
 
 def build_cover(pi: int, n: int | None = None) -> list[PairClique]:
-    """One group per off-conic anchor, p^2 in total, in tuple order.
+    """One group per off-conic anchor, q^2 in total, in tuple order.
 
     Each index pair is appended to every off-conic point of its line.  With
-    ``n`` below p + 1 (plane order above the label count), only pairs of
+    ``n`` below q + 1 (plane order above the label count), only pairs of
     labels below ``n`` are placed; the anchor count is unchanged.
     """
     plane = build_plane(pi)
@@ -72,9 +76,10 @@ def build_cover(pi: int, n: int | None = None) -> list[PairClique]:
     if not 2 <= n <= pi + 1:
         raise ValueError(f"need 2 <= n <= {pi + 1}, got {n}")
     s = place_s_points(pi)
+    mul = field(pi).mul
     # the anchors: every point (z, x, y) off the conic x^2 = yz
     groups: dict[Triple, list[Vertex]] = {
-        t: [] for t in plane if (t[1] * t[1] - t[0] * t[2]) % pi
+        t: [] for t in plane if mul[t[1]][t[1]] != mul[t[0]][t[2]]
     }
     # pairs are visited in sorted order, so every group's members are sorted
     for l in range(n):

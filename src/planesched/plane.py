@@ -1,9 +1,11 @@
-"""Finite projective plane of prime order p, in homogeneous coordinates.
+"""Finite projective plane of order q, in homogeneous coordinates.
 
-Points and lines are the same set of p^2 + p + 1 triples (z, x, y) over
-GF(p), normalized so that the first nonzero coordinate is 1.  A point u lies
-on a line v exactly when u . v = 0 mod p, so every statement about points
-has a dual about lines and one routine serves both:
+The order q is a prime or an odd prime power, and coordinates are GF(q)
+element codes (see ``gf``).  Points and lines are the same set of
+q^2 + q + 1 triples (z, x, y) over GF(q), normalized so that the first
+nonzero coordinate is 1.  A point u lies on a line v exactly when u . v = 0
+in GF(q), so every statement about points has a dual about lines and one
+routine serves both:
 
     join      the line through two points, or the point where two lines meet
     incident  the incidence test
@@ -18,9 +20,7 @@ that schedule files store.
 
 from __future__ import annotations
 
-from functools import cache
-
-from .gf import inverse_mod, is_prime
+from .gf import field, is_plane_order
 
 Triple = tuple[int, int, int]
 
@@ -49,19 +49,21 @@ def point_code(t: Triple, pi: int) -> int:
     return 1 + y if x else 0
 
 
-_inverse = cache(inverse_mod)  # normalize meets few distinct (lead, pi)
-
-
 def normalize(t: tuple[int, ...], pi: int) -> Triple:
-    """Scale a nonzero vector over GF(pi) so that its first nonzero coordinate is 1."""
-    for lead in t:
-        lead %= pi
+    """Scale a nonzero vector over GF(pi) so that its first nonzero coordinate is 1.
+
+    Entries are element codes; any other integer is read modulo pi, which
+    for a prime pi is its residue.
+    """
+    codes = [c % pi for c in t]
+    for lead in codes:
         if lead:
             break
     else:
         raise DegenerateInputError(f"zero vector {t} names no point or line")
-    inv = _inverse(lead, pi)
-    return tuple([c * inv % pi for c in t])
+    f = field(pi)
+    row = f.mul[f.inv[lead]]
+    return tuple([row[c] for c in codes])
 
 
 def join(u: Triple, v: Triple, pi: int) -> Triple:
@@ -70,15 +72,23 @@ def join(u: Triple, v: Triple, pi: int) -> Triple:
     Both are the cross product u x v: it is orthogonal to u and to v, so it
     is incident to both, and it vanishes exactly when u and v coincide.
     """
+    f = field(pi)
+    add, neg, mul = f.add, f.neg, f.mul
     (u0, u1, u2), (v0, v1, v2) = u, v
-    cross = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
-    if not any(c % pi for c in cross):
+    cross = (
+        add[mul[u1][v2]][neg[mul[u2][v1]]],
+        add[mul[u2][v0]][neg[mul[u0][v2]]],
+        add[mul[u0][v1]][neg[mul[u1][v0]]],
+    )
+    if not any(cross):
         raise DegenerateInputError(f"join of identical triples: {u}")
     return normalize(cross, pi)
 
 
 def incident(u: Triple, v: Triple, pi: int) -> bool:
-    return (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]) % pi == 0
+    f = field(pi)
+    add, mul = f.add, f.mul
+    return add[add[mul[u[0]][v[0]]][mul[u[1]][v[1]]]][mul[u[2]][v[2]]] == 0
 
 
 def pencil(v: Triple, pi: int) -> list[Triple]:
@@ -88,24 +98,27 @@ def pencil(v: Triple, pi: int) -> list[Triple]:
     solution of v . t = 0 is fixed by (t_j, t_k), which runs over the
     projective line: (0, 1) and (1, s) for every s.
     """
-    i = next(a for a, c in enumerate(v) if c % pi)
+    f = field(pi)
+    add, mul = f.add, f.mul
+    i = next(a for a, c in enumerate(v) if c)
     j, k = (a for a in range(3) if a != i)
-    scale = -inverse_mod(v[i], pi)
+    # rows of the multiplication table: times -1/v_i, times v_j, times v_k
+    scale, vj, vk = mul[f.neg[f.inv[v[i]]]], mul[v[j]], mul[v[k]]
     out = []
     for tj, tk in [(0, 1)] + [(1, s) for s in range(pi)]:
         t = [0, 0, 0]
-        t[i], t[j], t[k] = scale * (v[j] * tj + v[k] * tk), tj, tk
+        t[i], t[j], t[k] = scale[add[vj[tj]][vk[tk]]], tj, tk
         out.append(normalize(t, pi))
     return sorted(out)
 
 
 def build_plane(pi: int) -> tuple[Triple, ...]:
-    """All pi^2 + pi + 1 triples of the plane of prime order pi, in tuple order.
+    """All pi^2 + pi + 1 triples of the plane of order pi, in tuple order.
 
     Each triple names a point and, by duality, a line.
     """
-    if not is_prime(pi):
-        raise ValueError(f"not a prime: {pi}")
+    if not is_plane_order(pi):
+        raise ValueError(f"not a prime or an odd prime power: {pi}")
     return (
         (alpha_point(),)
         + tuple(beta_point(m) for m in range(pi))
@@ -117,6 +130,8 @@ def ascii_grid(pi: int, s_points: list[Triple] | None = None) -> str:
     """Debug rendering of the gamma grid with optional markers on a point set.
 
     Rows are printed top down (largest y first); marked cells show 'S'.
+    Cells are indexed by element codes, so in a plane of order p^k, k > 1,
+    the conic x^2 = yz is not drawn as a parabola.
     """
     marked = set(s_points or ())
     rows = []

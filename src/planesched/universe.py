@@ -11,7 +11,8 @@ operator groups suffice to estimate every required expectation value:
     diff_spin   direct products of an up round with a down round
     same_spin   the plane anchor groups, instantiated for both spins at once
 
-With N - 1 prime the family sizes are 1, 2(N-1), (N-1)^2 and (N-1)^2.
+With N even and N - 1 a prime or an odd prime power the family sizes are
+1, 2(N-1), (N-1)^2 and (N-1)^2, 2N^2 - 2N + 1 in all.
 
 Each group is one up-spin block times one down-spin block.  A block is the
 operators of one spin that one group takes: the number operators, one
@@ -40,7 +41,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .cover import PairClique, build_cover
-from .gf import smallest_prime_at_least
+from .gf import plane_order_at_least
 from .plane import point_code
 from .roundrobin import Round, build_rounds
 
@@ -176,17 +177,18 @@ def _check_disjoint_within_spin(block: Block) -> None:
 def build_universe(n: int) -> Universe:
     """Assemble all four clique families for n orbitals.
 
-    The plane order is the smallest prime >= n - 1; when that exceeds n - 1
-    the anchor groups are truncated to in-range labels but all pi^2 of them
-    are kept, so the closed-form total 2*n^2 - 2*n + 1 applies exactly when
-    n - 1 is prime and n is even.
+    The plane order is the smallest prime or odd prime power >= n - 1; when
+    that exceeds n - 1 the anchor groups are truncated to in-range labels
+    but all pi^2 of them are kept, so the closed-form total 2*n^2 - 2*n + 1
+    applies exactly when n - 1 is a prime or an odd prime power and n is
+    even.
 
     A clique's ``ops`` are its two blocks joined: a ``one_body`` clique's
     round before the other spin's numbers, the up block first elsewhere.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    pi = smallest_prime_at_least(max(2, n - 1))
+    pi = plane_order_at_least(max(2, n - 1))
     rounds = build_rounds(n)
     anchor_groups = build_cover(pi, n)
 

@@ -270,8 +270,8 @@ SCHEDULE_SHA256 = {
     (6, "parity"): "6c87dbb49ac6b592203e136a6f8395795db75787c04c192163e4847ddff3cc1c",
     (7, "jw"): "63db15854577bd58733d485f8cc133819670567146092be2c3494061dcd55415",
     (7, "parity"): "ed5adfe5f1851fcac5c5b8db4cbeff17dd34b5d4120dfb1c2d8c9239b9f99bcf",
-    (10, "jw"): "86bdb81a5bfacdcc7004b6d9e61e17fea42e269fd9fe8ad8d545f76048855203",
-    (10, "parity"): "951dc75bab2694eb5db00d56969da14c5b3e5c0441dd4340291d60ce2e5d5460",
+    (10, "jw"): "4ec75341382bfa4ef07ebcf7e7fd56cd0f1dc7eb1323b66a3ff3cb02ddcf561b",
+    (10, "parity"): "5a9291f50efe34ea189d10c875863a3a79a90a009ad92327e342eb55bd4212a4",
     (18, "jw"): "0f975f9ff868208bb8f9fec60ddc9ad188c0265fbacaf4a6c1b780067eaacc29",
     (18, "parity"): "0815e232a05defa6d94172887ef16ddfb01ce77e663a3dce9a2bbcafe85bb75b",
 }
@@ -286,8 +286,8 @@ V1_SCHEDULE_SHA256 = {
     (6, "parity"): "fb72dd0f0f911ad66ef4ddf25fb426e231abff6d6a72b19004ffe19437c6aea3",
     (7, "jw"): "9545119b5b468b795ab51f51c7dd8e5a7d90278709f68f769480edeb59b9f7da",
     (7, "parity"): "b6eeeb273f8b333628d014c624f153c94cf25e7c3511a43d57cd77ea595aea14",
-    (10, "jw"): "be00e34b049b8c89925512c62915177ead956be36bb7aafaa715751b457a8bf1",
-    (10, "parity"): "7889144a0049c70a6883d7dcae83c15e1365743614c6a50e67fe191ca851bec2",
+    (10, "jw"): "23638d50a64d08dfc79e89e893bcbd530fb48f131361ff5e97195fe84e58dd17",
+    (10, "parity"): "6bd96df8f7f4e6fd115f4535c184e4ede7da6d71ab0176460d71401bf7dc0d99",
     (18, "jw"): "b0ec52a434b42558161768e4d93243cffec9a9e70b692c57c3e622e3d5d35c01",
     (18, "parity"): "e0bcff73b51dbcc4fdd2baa7487a9fe85bb5865596fc838cc593901de0a04d29",
 }

@@ -115,6 +115,32 @@ def test_verify_rejects_schedule_for_other_orbitals_or_mapping(tmp_path, capsys)
     assert "verify_result: fail" in out
 
 
+def test_verify_names_a_schedule_file_from_another_plane(tmp_path, capsys):
+    # a file written when N=10 took the order-11 plane differs from today's
+    # order-9 file in every clique; the header names the cause in one line
+    path = tmp_path / "sched.json"
+    assert run(capsys, "schedule", "--orbitals", "4", "--out", str(path))[0] == 0
+    data = json.loads(path.read_text())
+    assert data["plane_order"] == 3
+    data["plane_order"] = 5
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "verify", "--orbitals", "4", "--out", str(path))
+    assert code == 1
+    problems = [line for line in out.splitlines() if line.startswith("schedule_file_problem: ")]
+    assert problems == ["schedule_file_problem: plane_order: file has 5, expected 3"]
+    assert "verify_result: fail" in out
+
+
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+def test_verify_passes_on_planes_of_order_nine(capsys, mapping):
+    for n in ("9", "10"):
+        code, out = run(capsys, "verify", "--orbitals", n, "--mapping", mapping)
+        assert code == 0
+        assert "lemma_checks: pass (order 9)" in out
+        assert "cover_size: 81" in out
+        assert "verify_result: pass" in out
+
+
 def test_verify_out_after_failed_emission(tmp_path, capsys, monkeypatch):
     path = tmp_path / "sched.json"
     assert run(capsys, "schedule", "--orbitals", "3", "--out", str(path))[0] == 0
@@ -256,27 +282,37 @@ y=0 S . . . .
     0 1 2 3 4
 alpha: S
 """),
-    10: (11, """\
-y=10 . . . . . . . . . . .
-y=9 . . . S . . . . S . .
-y=8 . . . . . . . . . . .
-y=7 . . . . . . . . . . .
-y=6 . . . . . . . . . . .
-y=5 . . . . S . . S . . .
-y=4 . . S . . . . . . S .
-y=3 . . . . . S S . . . .
-y=2 . . . . . . . . . . .
-y=1 . S . . . . . . . . .
-y=0 S . . . . . . . . . .
-    0 1 2 3 4 5 6 7 8 9 10
+    7: (7, """\
+y=6 . . . . . . .
+y=5 . . . . . . .
+y=4 . . S . . S .
+y=3 . . . . . . .
+y=2 . . . S S . .
+y=1 . S . . . . S
+y=0 S . . . . . .
+    0 1 2 3 4 5 6
 alpha: .
+"""),
+    10: (9, """\
+y=8 . . . . . . . . .
+y=7 . . . . . . . . .
+y=6 . . . . S . . . S
+y=5 . . . . . . . . .
+y=4 . . . . . . . . .
+y=3 . . . . . S . S .
+y=2 . . . S . . S . .
+y=1 . S S . . . . . .
+y=0 S . . . . . . . .
+    0 1 2 3 4 5 6 7 8
+alpha: S
 """),
 }
 
 
 @pytest.mark.parametrize("n", sorted(GRID_PINS))
 def test_grid_output_is_pinned(capsys, n):
-    """At N=10 the plane order, 11, exceeds N-1."""
+    """At N=7 the plane order, 7, exceeds N-1; at N=10 it is 9 = N-1, a
+    prime power, whose grid cells are GF(9) element codes."""
     order, grid = GRID_PINS[n]
     code, out = run(capsys, "stats", "--orbitals", str(n), "--grid")
     assert code == 0

@@ -23,6 +23,7 @@ from planesched.plane import (
 )
 
 PRIMES_TO_47 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+PRIME_POWERS = [9, 25, 27, 49]
 
 
 def brute_force_groups(pi: int, n: int) -> dict:
@@ -152,6 +153,26 @@ def test_no_three_collinear_all_small_primes():
 def test_unique_tangent_all_small_primes():
     for pi in PRIMES_TO_47:
         assert check_unique_tangent(pi)
+
+
+@pytest.mark.parametrize("pi, n", [(9, 9), (9, 10), (25, 26), (27, 28)])
+def test_prime_power_cover_matches_scan_oracle(pi, n):
+    oracle = brute_force_groups(pi, n)
+    cliques = build_cover(pi, n)
+    assert len(cliques) == pi * pi
+    assert {c.anchor: c.members for c in cliques} == oracle
+
+
+def test_lemma_scans_at_prime_powers():
+    for pi in PRIME_POWERS:
+        assert check_no_three_collinear(pi)
+        assert check_unique_tangent(pi)
+
+
+def test_plane_rejects_even_prime_powers_and_composites():
+    for pi in (4, 6, 8, 16):
+        with pytest.raises(ValueError, match="not a prime or an odd prime power"):
+            build_plane(pi)
 
 
 def test_bad_truncation_rejected():

@@ -1,4 +1,4 @@
-"""Incidence structure checks for planes of small prime order."""
+"""Incidence structure checks for planes of small prime and prime-power order."""
 
 import pytest
 
@@ -16,6 +16,7 @@ from planesched.plane import (
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
+PRIME_POWERS = [9, 25]
 INFINITY = (1, 0, 0)  # the line z = 0: alpha and every beta point
 
 
@@ -120,3 +121,21 @@ def test_pencil_consistent_with_incidence():
             pts = set(pencil(l, p))
             for pt in plane:
                 assert (pt in pts) == incident(pt, l, p)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_prime_power_plane_points_and_lines(q):
+    plane = build_plane(q)
+    assert len(plane) == q * q + q + 1
+    assert [point_code(pt, q) for pt in plane] == list(range(len(plane)))
+    pencils = {t: set(pencil(t, q)) for t in plane}
+    for t, through in pencils.items():
+        # each pencil equals its scan
+        assert sorted(through) == [u for u in plane if incident(t, u, q)]
+        assert len(through) == q + 1
+    # every point pair lies on exactly one line, and dually every line pair
+    # meets in exactly one point: the same check, as points and lines are one set
+    for i, a in enumerate(plane):
+        for b in plane[i + 1 :]:
+            common = pencils[a] & pencils[b]
+            assert common == {join(a, b, q)}

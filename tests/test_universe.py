@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from planesched import universe as universe_mod
 from planesched.cover import build_cover, place_s_points
-from planesched.gf import smallest_prime_at_least
 from planesched.plane import gamma_point, point_code
 from planesched.roundrobin import build_rounds
 from planesched.sim import dense_hamiltonian, term_matrix
@@ -108,6 +107,36 @@ def test_closed_form_total_for_even_prime_plus_one():
         assert len(build_universe(n)) == 2 * n * n - 2 * n + 1
 
 
+def scan_plane_order(n: int) -> int:
+    """Oracle: the smallest q >= max(2, n - 1) among the primes below 64 and
+    the powers of the odd ones, each listed outright."""
+    primes = [p for p in range(2, 64) if all(p % d for d in range(2, p))]
+    orders = {p**k for p in primes for k in range(1, 7) if k == 1 or p > 2}
+    return min(q for q in orders if q >= max(2, n - 1))
+
+
+def test_closed_form_for_every_even_n_on_a_plane_of_order_n_minus_1():
+    # N - 1 in {3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29}: N = 10, 26 and
+    # 28 sit on planes of order 9, 25 and 27
+    sizes = [n for n in range(4, 31, 2) if scan_plane_order(n) == n - 1]
+    assert sizes == [4, 6, 8, 10, 12, 14, 18, 20, 24, 26, 28, 30]
+    for n in sizes:
+        u = build_universe(n)
+        assert u.pi == n - 1
+        assert u.family_counts() == {
+            "part": 1, "one_body": 2 * (n - 1), "diff_spin": (n - 1) ** 2,
+            "same_spin": (n - 1) ** 2,
+        }, n
+        assert len(u) == 2 * n * n - 2 * n + 1, n
+
+
+def test_odd_n_on_prime_power_planes():
+    # odd N takes N pairing rounds per spin: 1 + 2N + N^2 + N^2 on a plane of order N
+    for n, total in ((9, 181), (25, 1301), (27, 1513)):
+        u = build_universe(n)
+        assert (u.pi, len(u)) == (scan_plane_order(n), total) == (n, total)
+
+
 def test_clique_ops_within_spin_are_index_disjoint():
     for n in (2, 3, 4, 6):
         for clique in build_universe(n).cliques:
@@ -120,7 +149,7 @@ def test_clique_ops_within_spin_are_index_disjoint():
 
 def reference_cliques(n: int) -> list[MeasurementClique]:
     """The cliques built one at a time, each operator made for its clique."""
-    pi = smallest_prime_at_least(max(2, n - 1))
+    pi = scan_plane_order(n)
     rounds, cliques = build_rounds(n), []
 
     def add(family, ops, source):
