@@ -17,9 +17,6 @@ from . import circuits as circuits_mod
 from . import cover as cover_mod
 from . import graphcheck as graph_mod
 from .universe import (
-    FAMILIES,
-    Decomposition,
-    TermKey,
     build_universe,
     classify_terms,
     decompose,
@@ -174,21 +171,6 @@ def _parse_state(spec: str, n_qubits: int) -> np.ndarray:
     return amps
 
 
-def _family_contributions(
-    primitives: dict[TermKey, float],
-    schedule: circuits_mod.Schedule,
-    decomposition: Decomposition,
-    grouped: dict[int, list[TermKey]],
-) -> dict[str, float]:
-    const, coeffs = decomposition
-    family_of = {term: schedule.universe.cliques[cid].family
-                 for cid, terms in grouped.items() for term in terms}
-    contributions = {"nuclear": const, **dict.fromkeys(FAMILIES, 0.0)}
-    for term, c in coeffs.items():
-        contributions[family_of[term]] += c * primitives[term]
-    return contributions
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     # numpy loads here, not for the other commands; sim first, since it
     # pins the BLAS threads before numpy loads
@@ -229,16 +211,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
         if args.shots == 0:
-            grouped = sim_mod.terms_by_clique(schedule)
-            primitives = sim_mod.primitive_expectations(state, schedule, grouped)
-            report = sim_mod.assemble_report(primitives, schedule, ham, decomposition)
-            contributions = _family_contributions(primitives, schedule, decomposition, grouped)
-            energies = {f"energy_{family}": value for family, value in contributions.items()}
+            primitives = sim_mod.primitive_expectations(state, schedule)
+            report = sim_mod.assemble_report(primitives, schedule, decomposition)
+            energies = {f"energy_{family}": value for family, value in report.contributions.items()}
             energies["energy"] = report.energy
         else:
-            sampled = sim_mod.estimate_energy_sampled(
-                state, schedule, ham, args.shots, args.seed, decomposition
-            )
+            sampled = sim_mod.estimate_energy_sampled(state, schedule, decomposition,
+                                                      args.shots, args.seed)
             energies = {"energy": sampled.energy, "energy_stderr": sampled.stderr}
             for family, value in sampled.family_stderr.items():
                 energies[f"energy_stderr_{family}"] = value

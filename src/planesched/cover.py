@@ -15,6 +15,7 @@ simultaneously measurable same-spin sets used by the scheduler.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations
 
 from .gf import field
 from .plane import (
@@ -22,7 +23,6 @@ from .plane import (
     alpha_point,
     build_plane,
     gamma_point,
-    incident,
     join,
     normalize,
     pencil,
@@ -93,22 +93,21 @@ def build_cover(pi: int, n: int | None = None) -> list[PairClique]:
     ]
 
 
-def _labels_on(line: Triple, s: list[Triple], pi: int) -> list[int]:
-    return [k for k, pt in enumerate(s) if incident(pt, line, pi)]
-
-
 def check_no_three_collinear(pi: int) -> bool:
-    """Exhaustive scan: no line carries three or more placed labels."""
+    """No line carries three placed labels: the joins of all label pairs
+    are distinct, since two pairs with one join put three labels on it."""
     s = place_s_points(pi)
-    return all(len(_labels_on(line, s, pi)) <= 2 for line in build_plane(pi))
+    if len(set(s)) < len(s):
+        return False
+    joins = [join(a, b, pi) for a, b in combinations(s, 2)]
+    return len(set(joins)) == len(joins)
 
 
 def check_unique_tangent(pi: int) -> bool:
-    """Exhaustive scan: every placed label has exactly one tangent line."""
+    """Every placed label has exactly one tangent: its q joins with the other
+    labels are distinct, so they are q of its q + 1 lines and the one left
+    meets no other label."""
     s = place_s_points(pi)
-    tangents = [0] * len(s)
-    for line in build_plane(pi):
-        on = _labels_on(line, s, pi)
-        if len(on) == 1:
-            tangents[on[0]] += 1
-    return tangents == [1] * len(s)
+    if len(set(s)) < len(s):
+        return False
+    return all(len({join(a, b, pi) for b in s if b != a}) == pi for a in s)

@@ -38,13 +38,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def inverse_mod(a: int, p: int) -> int:
-    """Multiplicative inverse of a mod prime p, as a plain integer."""
-    if a % p == 0:
-        raise ZeroDivisionError(f"no inverse of 0 mod {p}")
-    return pow(a % p, p - 2, p)
-
-
 def smallest_prime_at_least(n: int) -> int:
     """Smallest prime >= n.  Requires n >= 2."""
     if n < 2:

@@ -414,25 +414,29 @@ def dense_hamiltonian(ham: Hamiltonian, mapping: str) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 # expectation estimation through the schedule
 
-class ExpectationReport:
-    """Hopping-basis expectations: values of A(p,q,s) and their products.
+class ExpectationReport(NamedTuple):
+    """What an exact estimate measured and assembled.
 
-    Keys use the canonical operator labels; diagonal labels are reported as
-    the full A(p,p) = 2 n_p value.  ``primitives`` keeps the raw number- and
-    hopping-operator expectations the estimates were assembled from.
+    ``primitives`` holds the raw number- and hopping-operator expectations
+    of every measurable term.  With a decomposition, ``energy`` is its sum
+    and ``contributions`` splits it: ``nuclear`` the constant, then one share
+    per clique family in FAMILIES order, a term's share going to the family
+    of the clique it is routed to and measured in.
     """
 
-    def __init__(
-        self,
-        one_body: dict[HoppingOp, float],
-        two_body: dict[TermKey, float],
-        primitives: dict[TermKey, float],
-        energy: float | None = None,
-    ) -> None:
-        self.one_body = one_body
-        self.two_body = two_body
-        self.primitives = primitives
-        self.energy = energy
+    primitives: dict[TermKey, float]
+    energy: float | None = None
+    contributions: dict[str, float] | None = None
+
+    @property
+    def one_body(self) -> dict[HoppingOp, float]:
+        """Value of A(p,q,s) per operator; diagonal labels read A(p,p) = 2 n_p."""
+        return {t[0]: _diag_factor(t) * v for t, v in self.primitives.items() if len(t) == 1}
+
+    @property
+    def two_body(self) -> dict[TermKey, float]:
+        """Value of each product of two A operators, diagonals read as above."""
+        return {t: _diag_factor(t) * v for t, v in self.primitives.items() if len(t) == 2}
 
 
 def decode_value_vector(table: DecodeTable, n_qubits: int) -> np.ndarray:
@@ -472,19 +476,12 @@ def _term_values(terms: list[TermKey], circuit: MeasCircuit, vector):
         yield term, value
 
 
-def primitive_expectations(
-    state: np.ndarray, schedule: Schedule, grouped: dict[int, list[TermKey]] | None = None
-) -> dict[TermKey, float]:
-    """Exact expectation of every measurable term via its routed circuit.
-
-    ``grouped`` is ``terms_by_clique(schedule)``, computed here if not given.
-    """
+def primitive_expectations(state: np.ndarray, schedule: Schedule) -> dict[TermKey, float]:
+    """Exact expectation of every measurable term via its routed circuit."""
     nq = 2 * schedule.n
-    if grouped is None:
-        grouped = terms_by_clique(schedule)
     vector = _value_vectors(nq)
     out: dict[TermKey, float] = {}
-    for cid, terms in sorted(grouped.items()):
+    for cid, terms in sorted(terms_by_clique(schedule).items()):
         circuit = schedule.circuits[cid]
         probs = np.abs(apply_circuit(state, circuit.gates, nq)) ** 2
         for term, value in _term_values(terms, circuit, vector):
@@ -503,31 +500,39 @@ def _diag_factor(term: TermKey) -> int:
 def assemble_report(
     primitives: dict[TermKey, float],
     schedule: Schedule,
-    ham: Hamiltonian | None,
     decomposition: Decomposition | None = None,
 ) -> ExpectationReport:
-    """The report of ``primitives``; ``decomposition`` is ``decompose(ham)``,
-    computed here if not given."""
-    one_body = {t[0]: _diag_factor(t) * v for t, v in primitives.items() if len(t) == 1}
-    two_body = {t: _diag_factor(t) * v for t, v in primitives.items() if len(t) == 2}
-    energy = None
-    if ham is not None:
-        if ham.n_orbitals != schedule.n:
-            raise ValueError("Hamiltonian size does not match the schedule")
-        const, coeffs = decomposition if decomposition is not None else decompose(ham)
-        energy = const
-        for term, c in coeffs.items():
-            if term not in primitives:
-                raise CoverageError(f"missing measured term {term}")
-            energy += c * primitives[term]
-    return ExpectationReport(one_body, two_body, primitives, energy)
+    """The report of ``primitives``, with the energy of ``decomposition`` and
+    each family's share of it when one is given.
+
+    One pass over the coefficients adds each ``c * primitives[term]`` to the
+    energy and to the share of the family of ``route_term``'s clique.
+    """
+    if decomposition is None:
+        return ExpectationReport(primitives)
+    const, coeffs = decomposition
+    universe = schedule.universe
+    energy = const
+    contributions = {"nuclear": const, **dict.fromkeys(FAMILIES, 0.0)}
+    for term, c in coeffs.items():
+        if term not in primitives:
+            raise CoverageError(f"missing measured term {term}")
+        share = c * primitives[term]
+        energy += share
+        contributions[universe.cliques[route_term(term, universe)].family] += share
+    return ExpectationReport(primitives, energy, contributions)
 
 
 def estimate_all(
     state: np.ndarray, schedule: Schedule, ham: Hamiltonian | None = None
 ) -> ExpectationReport:
     """Exact estimates of all hopping expectations, plus the energy if given."""
-    return assemble_report(primitive_expectations(state, schedule), schedule, ham)
+    decomposition = None
+    if ham is not None:
+        if ham.n_orbitals != schedule.n:
+            raise ValueError("Hamiltonian size does not match the schedule")
+        decomposition = decompose(ham)
+    return assemble_report(primitive_expectations(state, schedule), schedule, decomposition)
 
 
 def sample_shots(
@@ -553,20 +558,18 @@ class SampledEnergy(NamedTuple):
 def estimate_energy_sampled(
     state: np.ndarray,
     schedule: Schedule,
-    ham: Hamiltonian,
+    decomposition: Decomposition,
     shots: int,
     seed: int,
-    decomposition: Decomposition | None = None,
 ) -> SampledEnergy:
     """Shot-based energy estimate with its standard error.
 
     Each clique gets ``shots`` samples; clique contributions are independent,
     so their variances add, in total and within each family (every clique
-    belongs to one).  ``decomposition`` is ``decompose(ham)``, computed here
-    if not given.
+    belongs to one).
     """
     nq = 2 * schedule.n
-    const, coeffs = decomposition if decomposition is not None else decompose(ham)
+    const, coeffs = decomposition
     grouped = terms_by_clique(schedule)
     vector = _value_vectors(nq)
     energy = const

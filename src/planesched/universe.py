@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 from .cover import PairClique, build_cover
 from .gf import plane_order_at_least
 from .plane import point_code
-from .roundrobin import Round, build_rounds
+from .roundrobin import build_rounds
 
 if TYPE_CHECKING:
     import numpy as np
@@ -122,11 +122,10 @@ class Universe:
     """All measurement groups for n orbitals, with a routing index:
     ``op_masks[op]`` has bit c set for each clique c that holds ``op``."""
 
-    def __init__(self, n: int, pi: int, rounds: list[Round],
-                 anchor_groups: list[PairClique], cliques: list[MeasurementClique]) -> None:
+    def __init__(self, n: int, pi: int, anchor_groups: list[PairClique],
+                 cliques: list[MeasurementClique]) -> None:
         self.n = n
         self.pi = pi
-        self.rounds = rounds
         self.anchor_groups = anchor_groups
         self.cliques = cliques
 
@@ -214,7 +213,7 @@ def build_universe(n: int) -> Universe:
             add("diff_spin", up, down, ("rounds", i, j))
     for group, up, down in zip(anchor_groups, *anchored):
         add("same_spin", up, down, ("anchor", point_code(group.anchor, pi)))
-    return Universe(n, pi, rounds, anchor_groups, cliques)
+    return Universe(n, pi, anchor_groups, cliques)
 
 
 def route_term(term: TermKey, universe: Universe) -> int:
@@ -256,7 +255,7 @@ class Hamiltonian:
         if self.h.shape != (2, n, n):
             raise ValueError(f"h must have shape (2, {n}, {n}), got {self.h.shape}")
         if self.g.shape != (2, 2, n, n, n, n):
-            raise ValueError(f"g must have shape (2, 2, {n}, {n}, {n}, {n})")
+            raise ValueError(f"g must have shape (2, 2, {n}, {n}, {n}, {n}), got {self.g.shape}")
         checks = [
             ("h[p,q] == h[q,p]", self.h, self.h.transpose(0, 2, 1)),
             ("g[p,q,r,s] == g[q,p,r,s]", self.g, self.g.transpose(0, 1, 3, 2, 4, 5)),

@@ -417,6 +417,14 @@ def test_estimate_names_a_missing_hamiltonian_key(tmp_path, capsys, key):
     assert err == f"error: cannot load Hamiltonian from {path}: missing key {key!r}\n"
 
 
+def test_estimate_names_the_shape_of_a_bad_g(tmp_path, capsys):
+    path = tmp_path / "ham.json"
+    path.write_text(json.dumps({**random_hamiltonian(2, seed=4).to_dict(), "g": 0}))
+    assert main(["estimate", "--hamiltonian", str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: cannot load Hamiltonian from {path}: "
+                                       "g must have shape (2, 2, 2, 2, 2, 2), got ()\n")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's would print to stderr
 @pytest.mark.parametrize("h_entry", [1e308, 5e307])
 def test_estimate_rejects_an_overflowing_hamiltonian(tmp_path, capsys, h_entry):

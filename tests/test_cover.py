@@ -182,6 +182,34 @@ def test_bad_truncation_rejected():
         build_cover(5, 1)
 
 
+def scan_no_three_collinear(s: list, pi: int) -> bool:
+    """Oracle: no line of the plane holds three of the points, line by line."""
+    return all(sum(incident(pt, line, pi) for pt in s) <= 2 for line in build_plane(pi))
+
+
+def scan_unique_tangent(s: list, pi: int) -> bool:
+    """Oracle: every point lies on exactly one line that holds no other point."""
+    tangents = [0] * len(s)
+    for line in build_plane(pi):
+        on = [k for k, pt in enumerate(s) if incident(pt, line, pi)]
+        if len(on) == 1:
+            tangents[on[0]] += 1
+    return tangents == [1] * len(s)
+
+
+@pytest.mark.parametrize("pi", sorted(PRIMES_TO_47 + PRIME_POWERS))
+def test_lemma_scans_match_line_scans(pi, monkeypatch):
+    """The join counts agree with the line-by-line scans on the conic, and
+    with one label moved off it (gamma(0, 1): 0 != 1 * 1) or onto another."""
+    conic = place_s_points(pi)
+    placements = [conic, conic[:1] + [gamma_point(0, 1)] + conic[2:], conic[:1] * 2 + conic[2:]]
+    for s in placements:
+        monkeypatch.setattr(cover, "place_s_points", lambda pi, s=s: s)
+        assert check_no_three_collinear(pi) == scan_no_three_collinear(s, pi)
+        assert check_unique_tangent(pi) == scan_unique_tangent(s, pi)
+    assert scan_no_three_collinear(conic, pi) and scan_unique_tangent(conic, pi)
+
+
 def test_lemma_scans_reject_a_label_off_the_conic(monkeypatch):
     s = place_s_points(5)
     # (2, 2) lies on y = x together with S(0) and S(1)

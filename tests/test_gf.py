@@ -5,7 +5,6 @@ import pytest
 
 from planesched.gf import (
     field,
-    inverse_mod,
     is_plane_order,
     is_prime,
     plane_order_at_least,
@@ -21,20 +20,6 @@ PRIME_POWERS = [9, 25, 27, 49]
 def scan_inverse(a: int, p: int) -> int:
     """Oracle: scan all residues for the product that lands on 1."""
     return next(b for b in range(1, p) if (a * b) % p == 1)
-
-
-def test_inverse_examples_against_scan():
-    assert inverse_mod(2, 5) == scan_inverse(2, 5) == 3
-    assert inverse_mod(1, 7) == 1
-    assert inverse_mod(4, 7) == scan_inverse(4, 7) == 2
-    assert inverse_mod(-3, 7) == scan_inverse(4, 7)
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        inverse_mod(0, 7)
-    with pytest.raises(ZeroDivisionError):
-        inverse_mod(10, 5)
 
 
 def test_prime_validation():
@@ -63,7 +48,7 @@ def test_smallest_prime_at_least_against_scan():
 
 def test_field_axioms_exhaustive_to_47():
     # the plane computes in plain integers mod p: check the field axioms on
-    # the full tables, and inverse_mod against the multiplication table
+    # the full tables, and that every nonzero element has an inverse
     for p in PRIMES_TO_47:
         x = np.arange(p)
         ab = np.add.outer(x, x) % p
@@ -80,16 +65,17 @@ def test_field_axioms_exhaustive_to_47():
         rhs = (np.multiply.outer(x, x)[:, :, None] + np.multiply.outer(x, x)[:, None, :]) % p
         assert np.array_equal(lhs, rhs)  # distributivity
         for a in range(1, p):
-            assert mb[a, inverse_mod(a, p)] == 1
+            assert mb[a, pow(a, -1, p)] == 1
 
 
 def test_inverse_is_involution_on_nonzero():
-    for p in PRIMES_TO_47:
-        for a in range(1, p):
-            b = inverse_mod(a, p)
-            assert 0 < b < p
-            assert (a * b) % p == 1
-            assert inverse_mod(b, p) == a
+    for q in PRIMES_TO_47 + PRIME_POWERS:
+        f = field(q)
+        for a in range(1, q):
+            b = f.inv[a]
+            assert 0 < b < q
+            assert f.mul[a][b] == 1
+            assert f.inv[b] == a
 
 
 def test_field_axioms_exhaustive_on_prime_power_tables():
@@ -149,7 +135,7 @@ def test_prime_tables_are_integers_mod_p():
             assert f.mul[a] == tuple(a * b % p for b in range(p))
             assert f.neg[a] == -a % p
             if a:
-                assert f.inv[a] == inverse_mod(a, p)
+                assert f.inv[a] == scan_inverse(a, p)
     assert field(47) is field(47)  # built once
 
 

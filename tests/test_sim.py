@@ -41,6 +41,7 @@ from planesched.sim import (
 )
 from planesched.universe import (
     DOWN,
+    FAMILIES,
     UP,
     HoppingOp,
     build_universe,
@@ -408,10 +409,10 @@ def test_sampled_energy_close_to_exact():
     occ = random_occupation_state(2 * n, seed=2)
     psi = occupation_to_qubit_state(occ, "jw", 2 * n)
     exact = estimate_all(psi, schedule, ham).energy
-    energy, stderr, _ = estimate_energy_sampled(psi, schedule, ham, shots=20000, seed=5)
+    energy, stderr, _ = estimate_energy_sampled(psi, schedule, decompose(ham), shots=20000, seed=5)
     assert stderr > 0
     assert abs(energy - exact) <= 6 * stderr
-    energy2, _, _ = estimate_energy_sampled(psi, schedule, ham, shots=20000, seed=5)
+    energy2, _, _ = estimate_energy_sampled(psi, schedule, decompose(ham), shots=20000, seed=5)
     assert energy == energy2
 
 
@@ -423,24 +424,33 @@ def test_sampled_family_variances_add_up_to_total():
         schedule = emit_schedule(universe, mapping)
         occ = random_occupation_state(2 * n, seed=4)
         psi = occupation_to_qubit_state(occ, mapping, 2 * n)
-        sampled = estimate_energy_sampled(psi, schedule, ham, shots=300, seed=2)
+        sampled = estimate_energy_sampled(psi, schedule, decompose(ham), shots=300, seed=2)
         assert set(sampled.family_stderr) == set(universe.family_counts())
         assert all(s > 0 for s in sampled.family_stderr.values())
         family_sum = sum(s**2 for s in sampled.family_stderr.values())
         assert abs(family_sum - sampled.stderr**2) < 1e-12
 
 
-def test_precomputed_routing_and_decomposition_change_nothing():
-    n = 3
-    schedule = emit_schedule(build_universe(n), "parity")
-    ham = random_hamiltonian(n, seed=8)
-    psi = occupation_to_qubit_state(random_occupation_state(2 * n, seed=1), "parity", 2 * n)
-    grouped = terms_by_clique(schedule)
-    decomposition = decompose(ham)
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exact_family_shares_follow_the_routed_clique(n, mapping):
+    """Each term's share goes to the family of the clique it is measured in,
+    and the nuclear constant plus the four shares is the energy."""
+    schedule = emit_schedule(build_universe(n), mapping)
+    ham = random_hamiltonian(n, seed=n)
+    psi = occupation_to_qubit_state(random_occupation_state(2 * n, seed=n), mapping, 2 * n)
     primitives = primitive_expectations(psi, schedule)
-    assert primitive_expectations(psi, schedule, grouped) == primitives
-    assert (assemble_report(primitives, schedule, ham, decomposition).energy
-            == assemble_report(primitives, schedule, ham).energy)
+    const, coeffs = decomposition = decompose(ham)
+    report = assemble_report(primitives, schedule, decomposition)
+    family_of = {term: schedule.universe.cliques[cid].family
+                 for cid, terms in terms_by_clique(schedule).items() for term in terms}
+    expected = {"nuclear": const, **dict.fromkeys(FAMILIES, 0.0)}
+    for term, c in coeffs.items():
+        expected[family_of[term]] += c * primitives[term]
+    assert list(report.contributions.items()) == list(expected.items())
+    assert abs(sum(report.contributions.values()) - report.energy) < 1e-12
+    assert report.primitives is primitives
+    assert assemble_report(primitives, schedule) == (primitives, None, None)
 
 
 def test_occupation_permutation_parity():

@@ -28,6 +28,8 @@ NAMED_TUPLES = [
     (SwapLayer, ("parity", "swaps"), ("odd", (1, 3))),
     (SwapNetwork, ("n", "layers", "permutation"),
      (3, (SwapLayer("odd", (1,)), SwapLayer("even", (0,))), (1, 2, 0))),
+    (ExpectationReport, ("primitives", "energy", "contributions"),
+     ({(H0,): 0.5}, -1.0, {"nuclear": -1.5, "part": 0.5})),
 ]
 
 
@@ -41,7 +43,7 @@ def test_named_tuple_fields_equality_and_repr(cls, fields, values):
     assert tuple(getattr(made, f) for f in fields) == values
     assert repr(made) == f"{cls.__name__}(" + ", ".join(
         f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
-    if cls is not MeasCircuit:  # its decode tables and permutations are dicts
+    if cls not in (MeasCircuit, ExpectationReport):  # they hold dicts
         assert hash(made) == hash(by_keyword)
         assert len({made, by_keyword}) == 1
     with pytest.raises(AttributeError):
@@ -65,6 +67,11 @@ def test_named_tuple_defaults_and_methods():
     graph = Graph(3, ((0, 0), (0, 1), (1, 2)), frozenset({((0, 0), (1, 2))}))
     assert graph.pair_vertices == ((0, 1), (1, 2))
     assert graph.pair_subgraph_edges() == frozenset()
+    report = ExpectationReport({(H0,): 0.5, (H1,): 0.25, (H0, H1): 1.0})
+    assert report.energy is None and report.contributions is None
+    # one_body and two_body read a number operator n_p as A(p,p) = 2 n_p
+    assert report.one_body == {H0: 0.5, H1: 0.5}
+    assert report.two_body == {(H0, H1): 2.0}
 
 
 def test_gate_is_immutable_and_equal_only_to_itself():
@@ -94,7 +101,7 @@ def test_gate_validation_messages():
 
 def test_containers_take_the_same_arguments():
     clique = MeasurementClique(0, "part", (H0,))
-    universe = Universe(n=2, pi=2, rounds=[], anchor_groups=[], cliques=[clique])
+    universe = Universe(n=2, pi=2, anchor_groups=[], cliques=[clique])
     assert universe.cliques_containing(H0) == [0] and universe.cliques_containing(H1) == []
     assert len(universe) == 1 and list(universe) == [clique]
     schedule = Schedule(n=2, mapping="jw", universe=universe, circuits=[])
@@ -109,8 +116,3 @@ def test_containers_take_the_same_arguments():
         1, 0.5, (2, 1, 1), (2, 2, 1, 1, 1, 1))
     with pytest.raises(ValueError, match="shape"):
         Hamiltonian(2, 0.0, ham.h, ham.g)
-    report = ExpectationReport(one_body={H0: 1.0}, two_body={}, primitives={(H0,): 0.5})
-    assert report.energy is None
-    report.energy = -1.0
-    assert (report.one_body, report.two_body, report.primitives, report.energy) == (
-        {H0: 1.0}, {}, {(H0,): 0.5}, -1.0)

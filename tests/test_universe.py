@@ -206,7 +206,7 @@ def test_route_prefers_lowest_id():
     clique = u.cliques[cid]
     assert clique.family == "one_body"
     assert clique.source[1] == UP
-    assert (0, 1) in u.rounds[clique.source[2]]
+    assert (0, 1) in build_rounds(6)[clique.source[2]]
     # single hopping operators also come from the one-body family
     cid = route_term((HoppingOp(2, 4, DOWN),), u)
     assert u.cliques[cid].family == "one_body"
