@@ -7,11 +7,12 @@ and its matrix is indexed with the first listed qubit as the most
 significant bit.
 
 Each circuit has two stages.  A nearest-neighbor fermionic-swap network
-first compacts every hopping operator onto adjacent modes (2m, 2m+1) of its
-spin block.  A constant-depth layer then rotates those adjacent hopping
-terms into the computational basis: a Bell-basis rotation (CNOT then H) per
-pair under Jordan-Wigner, a single Hadamard on each pair's lower qubit under
-parity.  Number operators are already diagonal in both mappings.
+first moves every hopping operator onto two adjacent slots (l, l+1) of its
+spin block, chosen by ``swapnet.adjacent_target``.  A constant-depth layer
+then rotates those adjacent hopping terms into the computational basis: a
+Bell-basis rotation (CNOT(l, l+1) then H(l)) per pair under Jordan-Wigner, a
+single Hadamard on each pair's left slot l under parity.  Number operators
+are already diagonal in both mappings.
 
 Under Jordan-Wigner an adjacent-mode fermionic swap is the standard 2-qubit
 gate (|01> <-> |10>, |11> -> -|11>).  Under parity it touches one extra
@@ -25,12 +26,15 @@ reads.  Gate validation, the Pauli image tables, the schedule file's
 so emitting, writing and checking a schedule never loads numpy.
 
 Every gate is Clifford, so decode tables are exact: the Pauli form of the
-operator that the swap network leaves on the sorted slots is conjugated
-through its own spin block's rotation layers and must come out diagonal on
-the operator's own support.  No rotation gate of one block reaches the
-support of an operator of the other block (under parity the up block's
-Hadamards sit on qubits 2k <= N-2, never on qubit N-1), so the other
-block cannot change the table.  Hopping operators decode to {-1, 0, +1},
+operator that the swap network leaves on its slots is conjugated through
+its own rotation gates and must come out diagonal on the operator's own
+support.  No other rotation gate reaches that support: a pair on (l, l+1)
+has support {l, l+1} under Jordan-Wigner and {l-1, l, l+1} under parity, a
+number operator on slot t has {t} or {t-1, t}, and every other pair's gates
+sit on its own left slot l' <= l-2 or l' >= l+2 and the slot after it.  A
+pair's left slot is at most N-2, so under parity no up-block Hadamard sits
+on qubit N-1, the only qubit the blocks can share, and the other block
+cannot change the table either.  Hopping operators decode to {-1, 0, +1},
 number operators to {0, 1}.
 
 One decode path turns a conjugated form into a table, for emission and the
@@ -47,11 +51,10 @@ A clique is one up-spin block times one down-spin block (see ``universe``),
 and many cliques share a block, so emission works a block at a time.  Each
 distinct block is built once (``_block``): its network, per-layer swap
 gates, rotation layers (``_rotation``), the check that the network leaves
-every operator on its slots, and each operator's decode table.
-``position_vector`` puts hopping operator k on slots (2k, 2k+1) and the
-number operators after them, so the tables depend only on the block's slot
-layout, spin and mapping, and each layout's operators are conjugated
-together, once (``_slot_tables``).  Emission builds one immutable ``Gate``
+every operator on its slots, and each operator's decode table.  A table
+depends only on the operator's slot, whether it is a pair, its spin and
+the mapping, so there are at most 2N-1 per spin and mapping, each made once
+(``_slot_table``).  Emission builds one immutable ``Gate``
 per ``(name, qubits)`` and shares each block's gate tuples among the
 circuits that use them; per clique only the merge is made: the two blocks'
 swap layers, then their rotation layers, up block first.
@@ -68,7 +71,7 @@ from itertools import zip_longest
 
 from . import pauli
 from .graphcheck import lower_bound
-from .swapnet import SwapNetwork, odd_even_sort, position_vector
+from .swapnet import SwapNetwork, adjacent_target, odd_even_sort
 from .universe import SPIN_NAMES, UP, DOWN, HoppingOp, MeasurementClique, Universe
 
 
@@ -207,17 +210,18 @@ def map_fswap(l: int, spin: int, mapping: str, n: int) -> Gate:
 
 
 @cache
-def _rotation(spin: int, pairs: int, mapping: str, n: int) -> tuple[tuple[Gate, ...], ...]:
-    """Basis-rotation layers of a spin block whose hopping operator k sits on
-    slots (2k, 2k+1), k < ``pairs``, acting on each pair's lower qubit: a
+def _rotation(spin: int, lefts: tuple[int, ...], mapping: str,
+              n: int) -> tuple[tuple[Gate, ...], ...]:
+    """Basis-rotation layers of a spin block whose hopping operators sit on
+    slots (l, l+1), l in ``lefts``, acting on each pair's left qubit: a
     CNOT layer then a Hadamard layer under Jordan-Wigner, the Hadamard layer
     alone under parity, and no layer without pairs.  One tuple, shared by
     every circuit that holds such a block."""
     if mapping not in ("jw", "parity"):
         raise ValueError(f"unknown mapping: {mapping!r}")
-    if not pairs:
+    if not lefts:
         return ()
-    lows = [qubit_index(2 * k, spin, n) for k in range(pairs)]
+    lows = [qubit_index(l, spin, n) for l in lefts]
     hadamards = tuple([_gate("H", (q,)) for q in lows])
     if mapping == "jw":
         return tuple([_gate("CNOT", (q, q + 1)) for q in lows]), hadamards
@@ -226,7 +230,7 @@ def _rotation(spin: int, pairs: int, mapping: str, n: int) -> tuple[tuple[Gate, 
 
 @cache
 def _network(target: tuple[int, ...]) -> SwapNetwork:
-    """The sorting network of one spin block's position vector."""
+    """The sorting network of one spin block's target permutation."""
     return odd_even_sort(target)
 
 
@@ -267,22 +271,16 @@ def _decode_from_diagonal(
 
 
 @cache
-def _slot_tables(spin: int, pairs: int, numbers: int, mapping: str,
-                 n: int) -> tuple[DecodeTable, ...]:
-    """Decode tables of a block's slot layout: hopping operator k sorted onto
-    slots (2k, 2k+1) of spin block ``spin``, then each number operator on
-    the next slot, in that order, all conjugated together through the
-    block's own rotation layers."""
-    first = 2 * pairs
-    sorted_ops = [HoppingOp(2 * k, 2 * k + 1, spin) for k in range(pairs)]
-    sorted_ops += [HoppingOp(s, s, spin) for s in range(first, first + numbers)]
-    forms = [pauli.operator_paulis(op, mapping, n) for op in sorted_ops]
-    gates = [g for layer in _rotation(spin, pairs, mapping, n) for g in layer]
-    rotated = pauli.conjugate_all(forms, gates, 2 * n)
-    return tuple([
-        _decode_from_diagonal(pauli.support(form), image, op.is_number, op, "on its sorted slots")
-        for op, form, image in zip(sorted_ops, forms, rotated)
-    ])
+def _slot_table(spin: int, l: int, is_pair: bool, mapping: str, n: int) -> DecodeTable:
+    """Decode table of the operator on slot l of spin block ``spin``: the
+    pair on (l, l+1), or the number operator on l, conjugated through its
+    own rotation gates only, since no other rotation gate reaches its
+    support."""
+    op = HoppingOp(l, l + 1 if is_pair else l, spin)
+    form = pauli.operator_paulis(op, mapping, n)
+    gates = [g for layer in _rotation(spin, (l,) if is_pair else (), mapping, n) for g in layer]
+    (image,) = pauli.conjugate_all([form], gates, 2 * n)
+    return _decode_from_diagonal(pauli.support(form), image, op.is_number, op, "on its slots")
 
 
 # one spin block's share of every circuit that holds it: its swap gates per
@@ -294,21 +292,23 @@ _Block = namedtuple("_Block", ["layers", "rotation", "permutation", "tables"])
 @cache
 def _block(ops: tuple[HoppingOp, ...], spin: int, mapping: str, n: int) -> _Block:
     """Sort one spin block and check that its network leaves each operator
-    on the slots ``position_vector`` gave it: hopping operator k on
-    (2k, 2k+1), then the number operators, in block order."""
-    target = tuple(position_vector(ops, n))
+    on the slots ``adjacent_target`` gave it: a hopping operator on
+    (l, l+1), its smaller mode on its left slot l."""
+    target = adjacent_target(ops, n)
     net = _network(target)
-    pairs = sum(not op.is_number for op in ops)
-    layout = _slot_tables(spin, pairs, len(ops) - pairs, mapping, n)
-    tables = []
+    lefts, tables = [], []
     for op in ops:
         a, b = net.permutation[op.p], net.permutation[op.q]
         if (a, b) != (target[op.p], target[op.q]):
             raise DiagonalizationError(f"{op}: swap network left it on slots {a}, {b}")
-        tables.append(layout[a - pairs if op.is_number else a // 2])
+        l = min(a, b)
+        if not op.is_number:
+            lefts.append(l)
+        tables.append(_slot_table(spin, l, not op.is_number, mapping, n))
     fswaps = _block_swaps(spin, mapping, n)
     layers = tuple(tuple([fswaps[l] for l in layer.swaps]) for layer in net.layers)
-    return _Block(layers, _rotation(spin, pairs, mapping, n), net.permutation, tuple(tables))
+    rotation = _rotation(spin, tuple(lefts), mapping, n)
+    return _Block(layers, rotation, net.permutation, tuple(tables))
 
 
 def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
@@ -331,7 +331,7 @@ def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
     return MeasCircuit(tuple(gates), depth, decode, {UP: up.permutation, DOWN: down.permutation})
 
 
-SCHEDULE_VERSION = 2
+SCHEDULE_VERSION = 3
 
 # only non-standard gate matrices go into the schedule file
 _SERIALIZED_MATRICES = {"FSWAP2", "FSWAP3", "FSWAP_EDGE"}

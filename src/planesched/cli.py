@@ -2,7 +2,8 @@
 
 Stats go to stdout as stable ``key: value`` lines; the schedule itself is
 written only to the requested file.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.  Only ``estimate`` imports ``sim`` and numpy.
+failure or a size that does not fit in memory, 2 usage error.  Only
+``estimate`` imports ``sim`` and numpy.
 """
 
 from __future__ import annotations
@@ -286,7 +287,12 @@ def main(argv: list[str] | None = None) -> int:
         build_parser().error("--shots must be 0 (exact) or positive, at most 2**63 - 1")
     if getattr(args, "seed", 0) < 0:
         build_parser().error("--seed must be 0 or positive")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError:
+        size = "" if args.orbitals is None else f" for --orbitals {args.orbitals}"
+        print(f"error: not enough memory{size}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -194,34 +194,31 @@ def _apply_permutations(psi: np.ndarray, gates: tuple[Gate, ...], n_qubits: int)
 
 
 @lru_cache(maxsize=256)
-def _hadamards(mask: int, pairs: bool) -> np.ndarray:
+def _hadamards(mask: int) -> np.ndarray:
     """H on each set bit of ``mask`` and I on the bits below its top one, as
-    one real little-endian matrix; with ``pairs``, also I on each (re, im)."""
+    one real little-endian matrix."""
     factors = [_gate_matrix("H").real if mask >> j & 1 else np.eye(2)
                for j in reversed(range(mask.bit_length()))]
-    matrix = reduce(np.kron, factors + [np.eye(2)] * pairs)
+    matrix = reduce(np.kron, factors)
     matrix.flags.writeable = False  # shared by every caller
     return matrix
 
 
 def _apply_hadamards(psi: np.ndarray, gates: tuple[Gate, ...], n_qubits: int) -> np.ndarray:
     """A run of H gates as one real matrix product per spin block, on the
-    complex state viewed as (re, im) float pairs.  The low block's matrix
-    spans qubit 0 to its highest H, the high block's its lowest to its
-    highest H."""
+    complex state viewed as (re, im) float pairs.  Each block's matrix spans
+    its lowest to its highest H, wherever its pairs sit."""
     mask = 0
     for gate in gates:
         if gate.name != "H":
             raise ValueError(f"no kernel for gate {gate.name!r}")
         mask ^= 1 << gate.qubits[0]  # H twice is the identity
     h = n_qubits // 2
-    low, high = mask & ((1 << h) - 1), mask >> h << h
     x = psi.view(float)
-    if low:  # rows: the qubits above the span; columns: the span's (re, im) pairs
-        x = x.reshape(-1, 2 << low.bit_length()) @ _hadamards(low, True)
-    if high:  # the span [a, b) indexes the rows of one product per value above b
-        a, b = (high & -high).bit_length() - 1, high.bit_length()
-        x = _hadamards(high >> a, False) @ x.reshape(1 << (n_qubits - b), 1 << (b - a), 2 << a)
+    for block in (mask & ((1 << h) - 1), mask >> h << h):
+        if block:  # the span [a, b) indexes the rows of one product per value above b
+            a, b = (block & -block).bit_length() - 1, block.bit_length()
+            x = _hadamards(block >> a) @ x.reshape(1 << (n_qubits - b), 1 << (b - a), 2 << a)
     return x.reshape(-1).view(complex)
 
 

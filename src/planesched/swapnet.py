@@ -1,16 +1,23 @@
-"""Nearest-neighbor sorting networks that compact a clique's mode indices.
+"""Nearest-neighbor sorting networks that bring a clique's hopping pairs together.
 
-Measuring a clique needs each hopping operator's two modes adjacent and in a
-fixed slot: operator m ends up on modes (2m, 2m+1) of its spin block, with
-number operators parked after the paired slots and unused modes last.  The
-sort is the odd-even transposition network (odd-indexed compares first), so
-a block of n modes never needs more than n layers and each layer's swaps are
-disjoint nearest-neighbor transpositions.
+Measuring a clique needs each hopping operator's two modes on adjacent
+slots of its spin block; which two slots is free.  ``adjacent_target``
+chooses them by one rule: every operator, and every mode the block does not
+use, is a unit placed near the mean of its modes, so each pair meets close
+to where its modes already are.  The network is the odd-even transposition
+sort of that target (odd-indexed compares first), so a block of n modes
+never needs more than n layers and each layer's swaps are disjoint
+nearest-neighbor transpositions.  ``position_vector`` is the earlier
+layout, hopping operator m on slots (2m, 2m+1) and the number operators
+after the pairs; it stays as the reference the new layout is measured
+against.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .universe import HoppingOp
@@ -64,6 +71,43 @@ def position_vector(ops: Iterable[HoppingOp], n: int) -> list[int]:
             raise ValueError(f"mode {mode} appears twice in one spin sector")
         pos[mode] = rank
     return pos
+
+
+def adjacent_target(ops: Iterable[HoppingOp], n: int) -> tuple[int, ...]:
+    """Final slot per mode for a spin block: a full permutation of range(n)
+    that puts each hopping operator's two modes on adjacent slots.
+
+    A hopping operator A(a, b), a < b, is a two-slot unit with key (a+b)/2
+    and width b-a; a number operator n_p, and each mode p the block does not
+    use, is a one-slot unit with key p and width 0.  The units are sorted by
+    (key, width).  In a run of equal keys (nested pairs, as in a
+    circle-method round) the 1st, 3rd, 5th, ... unit is placed left to
+    right, then the 2nd, 4th, ... right to left, so the narrowest units sit
+    at the two ends and the widest in the middle.  Slots are then assigned
+    left to right in that order, the smaller mode of a pair first.
+    """
+    free = [True] * n
+    units = []  # (twice the key, width, members): keys in halves stay integers
+    for op in ops:
+        members = (op.p,) if op.is_number else (op.p, op.q)
+        for mode in members:
+            if not 0 <= mode < n:
+                raise ValueError(f"mode {mode} out of range for block of {n}")
+            if not free[mode]:
+                raise ValueError(f"mode {mode} appears twice in one spin sector")
+            free[mode] = False
+        units.append((op.p + op.q, op.q - op.p, members))
+    units += [(2 * mode, 0, (mode,)) for mode in range(n) if free[mode]]
+    units.sort()
+    target = [UNUSED] * n
+    slot = 0
+    for _, run in groupby(units, key=itemgetter(0)):
+        run = list(run)
+        for _, _, members in run[0::2] + run[1::2][::-1]:
+            for mode in members:
+                target[mode] = slot
+                slot += 1
+    return tuple(target)
 
 
 def odd_even_sort(p: Sequence[int]) -> SwapNetwork:

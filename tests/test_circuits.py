@@ -33,7 +33,7 @@ from planesched.circuits import (
     write_schedule,
 )
 from planesched.cli import main
-from planesched.swapnet import SwapNetwork, position_vector
+from planesched.swapnet import SwapNetwork, adjacent_target, odd_even_sort, position_vector
 from planesched.universe import DOWN, SPIN_NAMES, UP, HoppingOp, build_universe
 
 
@@ -134,21 +134,27 @@ def test_map_fswap_rejects_block_crossing():
 
 
 def test_diag_layer_shapes():
-    cnots, hadamards = _rotation(UP, 1, "jw", 4)
+    cnots, hadamards = _rotation(UP, (0,), "jw", 4)
     assert [g.name for g in cnots + hadamards] == ["CNOT", "H"]
     assert cnots[0].qubits == (0, 1) and hadamards[0].qubits == (0,)
-    cnots, hadamards = _rotation(DOWN, 2, "jw", 5)
+    cnots, hadamards = _rotation(DOWN, (0, 2), "jw", 5)
     assert [g.qubits for g in cnots] == [(5, 6), (7, 8)]
     assert [g.qubits for g in hadamards] == [(5,), (7,)]
-    (hadamards,) = _rotation(UP, 2, "parity", 5)
+    # a pair may sit on any two adjacent slots, odd left slots included
+    cnots, hadamards = _rotation(UP, (3, 1), "jw", 5)
+    assert [g.qubits for g in cnots] == [(3, 4), (1, 2)]
+    assert [g.qubits for g in hadamards] == [(3,), (1,)]
+    (hadamards,) = _rotation(UP, (0, 2), "parity", 5)
     assert [g.name for g in hadamards] == ["H", "H"]
     assert [g.qubits for g in hadamards] == [(0,), (2,)]
-    (hadamards,) = _rotation(DOWN, 1, "parity", 5)
+    (hadamards,) = _rotation(DOWN, (0,), "parity", 5)
     assert [(g.name, g.qubits) for g in hadamards] == [("H", (5,))]
-    assert _rotation(UP, 0, "jw", 4) == ()
-    assert _rotation(DOWN, 0, "parity", 4) == ()
+    (hadamards,) = _rotation(DOWN, (3,), "parity", 5)
+    assert [(g.name, g.qubits) for g in hadamards] == [("H", (8,))]
+    assert _rotation(UP, (), "jw", 4) == ()
+    assert _rotation(DOWN, (), "parity", 4) == ()
     with pytest.raises(ValueError, match="unknown mapping"):
-        _rotation(UP, 1, "bk", 4)
+        _rotation(UP, (0,), "bk", 4)
 
 
 def test_emit_particle_number_clique_is_identity():
@@ -262,34 +268,34 @@ def test_verify_schedule_dict_reports_header_mismatch():
 
 # schedule files stay byte-identical for a fixed (orbitals, mapping, version)
 SCHEDULE_SHA256 = {
-    (3, "jw"): "88a7730b8c74f0e261516f9ca94ed15a4aba39918fb6f8947fa0f5af7d74ed86",
-    (3, "parity"): "a7af11632c50b0aca874d550871e6398b4dd84e2f9f53ab3f63a1aa96b413b9c",
-    (4, "jw"): "1b9d8c3dc5f30c90d96f85d96a77a589e8220ecded716fea1f594482a35f149f",
-    (4, "parity"): "f88b2fef1ff102be772599899bb3c3f0664198b2611a3a51abf3d88f14a1fb6b",
-    (6, "jw"): "e07dccae8d4128694bd66a78559f6133c69b40412ac71090022b89aeda56d883",
-    (6, "parity"): "6c87dbb49ac6b592203e136a6f8395795db75787c04c192163e4847ddff3cc1c",
-    (7, "jw"): "63db15854577bd58733d485f8cc133819670567146092be2c3494061dcd55415",
-    (7, "parity"): "ed5adfe5f1851fcac5c5b8db4cbeff17dd34b5d4120dfb1c2d8c9239b9f99bcf",
-    (10, "jw"): "4ec75341382bfa4ef07ebcf7e7fd56cd0f1dc7eb1323b66a3ff3cb02ddcf561b",
-    (10, "parity"): "5a9291f50efe34ea189d10c875863a3a79a90a009ad92327e342eb55bd4212a4",
-    (18, "jw"): "0f975f9ff868208bb8f9fec60ddc9ad188c0265fbacaf4a6c1b780067eaacc29",
-    (18, "parity"): "0815e232a05defa6d94172887ef16ddfb01ce77e663a3dce9a2bbcafe85bb75b",
+    (3, "jw"): "7a7d27ed12afcae326b56010035511a4bc2782eab8d7acdf8845a7bc065b514e",
+    (3, "parity"): "e9a39433398df94ebc3e6c69e1b88c8c44694e6fdb47d750398acf9363616603",
+    (4, "jw"): "c2c21103bf40567e007534e5b1306e7e46b75a83636e8faa951e17488efc86bb",
+    (4, "parity"): "5e333c2f4e8100d76f4b776089212ea22165caae594fe9396b84fab639cd2a02",
+    (6, "jw"): "909bba432992c4d848e16684794ca868053a5578b743f788eba451bbfb65d368",
+    (6, "parity"): "9d2726aefe2a7d72954a9295d0d1507a876eeaf8ab0c20712784598de5f2f5d4",
+    (7, "jw"): "a32cab49920e0b0962440acf025c2a789227965df21f7f42a8479b7c5c6c39f4",
+    (7, "parity"): "ec11bcd59a11d743c68a8be12394bddfb819b05549297d54fba9c7710ee32dce",
+    (10, "jw"): "f13d3f040329101e18975a1ca7dc7a7f893fdd286568452366d333bd2531e302",
+    (10, "parity"): "f4ceb71e31a4d1fa70e3f1b03be54cab81f9c14543e608c28adc3e36bec7d02b",
+    (18, "jw"): "f21eab3c28638aadeec270690b1d937ff835c65c2f1319f6bd95b852ffdb4d9d",
+    (18, "parity"): "c47383661e74a69e1ef1a121136b742d9d3de4c5779e239da66ba261e83ac76e",
 }
 
 # the same schedules in format version 1, written by ``v1_chunks``
 V1_SCHEDULE_SHA256 = {
-    (3, "jw"): "608c6b82e51a67324b2f083f7785d3c21ab1a1142395ee23a137aa9959b4cb09",
-    (3, "parity"): "1ec5b635c33b3dec6d330930eb1337278816d9f364d9b1a9e29f5dde3ebc7a2d",
-    (4, "jw"): "929e837b680abdcdaec18cf371f5a49c0c0a2b8c2c7f660a338523c954db61f3",
-    (4, "parity"): "7c4ab7e2980016c649945f370d8a8a8574df43e6044424dc56cea66adb49c650",
-    (6, "jw"): "2ddd19731163daced61f9f8599817b444f53f0bdec2098da6c48925f105120f5",
-    (6, "parity"): "fb72dd0f0f911ad66ef4ddf25fb426e231abff6d6a72b19004ffe19437c6aea3",
-    (7, "jw"): "9545119b5b468b795ab51f51c7dd8e5a7d90278709f68f769480edeb59b9f7da",
-    (7, "parity"): "b6eeeb273f8b333628d014c624f153c94cf25e7c3511a43d57cd77ea595aea14",
-    (10, "jw"): "23638d50a64d08dfc79e89e893bcbd530fb48f131361ff5e97195fe84e58dd17",
-    (10, "parity"): "6bd96df8f7f4e6fd115f4535c184e4ede7da6d71ab0176460d71401bf7dc0d99",
-    (18, "jw"): "b0ec52a434b42558161768e4d93243cffec9a9e70b692c57c3e622e3d5d35c01",
-    (18, "parity"): "e0bcff73b51dbcc4fdd2baa7487a9fe85bb5865596fc838cc593901de0a04d29",
+    (3, "jw"): "2deb0cd5b218b0345cd8990452a114df18fd023bbcb38c6d79e184de33b50c21",
+    (3, "parity"): "be608ac98fc3baabbbf3021ae33da0bf1b5aebdffe813f07bf0bfb9d73b0bea0",
+    (4, "jw"): "4e44d2a9082ac5bff630572daf057c7eb8bcdfbcf945f646542642c5ed55e794",
+    (4, "parity"): "452276d1a9eba06e74c800d3989b6e3fa787a13b5718cf4881f76444dacce9ea",
+    (6, "jw"): "aa3504ec25032a77a6fc8a303f2ccc715e488c8d79e5601e6bf96678ee7012c2",
+    (6, "parity"): "f6a8577b371317d096ccd728e668c5680dee2e6eea44a2e868bba310c07ccfbf",
+    (7, "jw"): "358a072dd8f3b41566edc088525e6843e668f5b86e0ac9d03308b103e6cf459a",
+    (7, "parity"): "a6d8c317607753a809064603839ee58916f5bdd46777f60ca2a9a04ddfc45a2d",
+    (10, "jw"): "6c7a9f61e7f09869095572910743fa2e5b66e1197a07ac6ba14e1a5ee8d3ed66",
+    (10, "parity"): "b78c67715eb3685cbcf5890962a93b10a176f211811fb9a9f8f42f0f18fd45e4",
+    (18, "jw"): "62b271e7811cd2e585b74aae39ffdfefdc9f99c20d76dc5ec0fd58a64f1e9bed",
+    (18, "parity"): "81f6350755f2ae42b98fccc5f13d2b3aaebaf5e9dfff1c005e9190c176cadd53",
 }
 
 
@@ -349,7 +355,8 @@ def v1_chunks(schedule):
 
 
 def expand_to_v1(data: dict) -> dict:
-    """A version-2 document in version-1 shape: each gate index replaced by
+    """A document of format 2 or 3 (one layout; 3 has the adjacent-pair
+    circuits) in version-1 shape: each gate index replaced by
     its ``{name, qubits}`` plus the name's matrix, if it has one."""
     defs, matrices = data.pop("gate_defs"), data.pop("gate_matrices")
     gates = [dict(d, matrix=matrices[d["name"]]) if d["name"] in matrices else d
@@ -363,8 +370,9 @@ def expand_to_v1(data: dict) -> dict:
 @pytest.mark.parametrize("mapping", ["jw", "parity"])
 @pytest.mark.parametrize("n", [*range(2, 11), 18])
 def test_v2_expands_to_the_v1_reference(n, mapping):
-    """Format 2 loses nothing: expanded, it is exactly the version-1
-    document, and the reference encoder still gives the pinned v1 bytes."""
+    """The gate tables lose nothing: expanded, a document is exactly the
+    version-1 document, and the reference encoder still gives the pinned v1
+    bytes."""
     schedule = emit_schedule(build_universe(n), mapping)
     expanded = expand_to_v1(schedule_to_dict(schedule))
     cliques = iter(expanded.pop("cliques"))
@@ -394,14 +402,14 @@ def test_shared_emission_caches_keep_each_schedule_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_SHA256[n, mapping]
         assert all(type(circ.gates) is tuple for circ in schedule.circuits)
     # the shared rotation layers are immutable, so no caller can empty them
-    assert type(_rotation(UP, 2, "jw", 4)) is tuple
-    assert [type(layer) for layer in _rotation(UP, 2, "jw", 4)] == [tuple, tuple]
-    assert _rotation(UP, 2, "jw", 4) != ()
-    assert _rotation(DOWN, 0, "jw", 4) == ()
+    assert type(_rotation(UP, (0, 2), "jw", 4)) is tuple
+    assert [type(layer) for layer in _rotation(UP, (0, 2), "jw", 4)] == [tuple, tuple]
+    assert _rotation(UP, (0, 2), "jw", 4) != ()
+    assert _rotation(DOWN, (), "jw", 4) == ()
     # one object per distinct gate
     assert map_fswap(2, DOWN, "parity", 6) is map_fswap(2, DOWN, "parity", 6)
-    assert _rotation(UP, 1, "jw", 4)[1][0] is _rotation(UP, 2, "jw", 4)[1][0]
-    assert _rotation(UP, 1, "parity", 4)[0][0] is _rotation(UP, 1, "jw", 4)[1][0]
+    assert _rotation(UP, (0,), "jw", 4)[1][0] is _rotation(UP, (0, 2), "jw", 4)[1][0]
+    assert _rotation(UP, (0,), "parity", 4)[0][0] is _rotation(UP, (0,), "jw", 4)[1][0]
 
 
 def test_written_file_equals_schedule_json(tmp_path):
@@ -426,7 +434,7 @@ def test_schedule_file_matches_rejects_any_byte_change(tmp_path):
 
 
 def corrupt(data: dict, kind: str) -> None:
-    """Break a loaded version-2 document the way a faulty writer could."""
+    """Break a loaded document with gate tables the way a faulty writer could."""
     gates = next(c["gates"] for c in data["cliques"] if c["gates"])
     if kind == "index_out_of_range":
         gates[0] = len(data["gate_defs"])
@@ -446,7 +454,7 @@ def corrupt(data: dict, kind: str) -> None:
     ("index_to_another_gate", "].gates[0]: "),
     ("gate_def_shifted", "schedule.gate_defs["),
     ("matrix_perturbed", "schedule.gate_matrices.FSWAP3[9][0]: "),
-    ("version_1", "version: file has 1, expected 2"),
+    ("version_1", "version: file has 1, expected 3"),
 ])
 def test_verify_out_rejects_corrupt_v2_file(tmp_path, capsys, kind, where):
     path = str(tmp_path / "sched.json")
@@ -467,7 +475,7 @@ def test_verify_out_rejects_corrupt_v2_file(tmp_path, capsys, kind, where):
     assert problems and all(where in p for p in problems), problems
     if kind == "version_1":
         # a file in another format is reported by its header alone
-        assert problems == ["version: file has 1, expected 2"]
+        assert problems == ["version: file has 1, expected 3"]
 
 
 def test_schedule_matrices_serialized_as_pairs():
@@ -496,54 +504,46 @@ def test_gate_validation():
         Gate("H", (1, 1))
 
 
-def reference_rotation_layer(m_up: int, m_down: int, mapping: str, n: int) -> list[Gate]:
-    """The clique-wide rotation layer: a CNOT on each sorted pair's lower
-    qubit and the next, up pairs then down pairs, under Jordan-Wigner only,
-    then a Hadamard on each pair's lower qubit in the same order."""
-    pair_qubits = [qubit_index(2 * l, spin, n)
-                   for spin, m in ((UP, m_up), (DOWN, m_down)) for l in range(m)]
+def reference_rotation_layer(lefts: dict[int, list[int]], mapping: str, n: int) -> list[Gate]:
+    """The clique-wide rotation layer: a CNOT on each pair's left qubit and
+    the next, up pairs then down pairs, under Jordan-Wigner only, then a
+    Hadamard on each pair's left qubit in the same order."""
+    pair_qubits = [qubit_index(l, spin, n) for spin in (UP, DOWN) for l in lefts[spin]]
     hadamards = [Gate("H", (q,)) for q in pair_qubits]
     if mapping == "jw":
         return [Gate("CNOT", (q, q + 1)) for q in pair_qubits] + hadamards
     return hadamards
 
 
-@cache
-def reference_sorted_decode(sorted_op: HoppingOp, m_up: int, m_down: int, mapping: str,
-                            n: int):
-    """Decode table of an operator on its sorted slots, conjugated alone
-    through the whole clique's rotation layer."""
-    local = pauli.operator_paulis(sorted_op, mapping, n)
-    rotated = pauli.conjugate_all(
-        [local], reference_rotation_layer(m_up, m_down, mapping, n), 2 * n)[0]
-    return _decode_from_diagonal(
-        pauli.support(local), rotated, sorted_op.is_number, sorted_op, "on its sorted slots"
-    )
-
-
 def reference_emit(clique, mapping: str, n: int) -> MeasCircuit:
     """The per-operator emitter: each clique's blocks sorted again, and each
-    operator checked and relabeled onto its sorted slots one at a time."""
-    targets, pairs, nets = {}, {}, {}
+    operator checked, relabeled onto its slots and conjugated alone through
+    the whole clique's rotation layer, both spins."""
+    targets, nets, lefts = {}, {}, {}
     for spin in (UP, DOWN):
         ops = clique.ops_for_spin(spin)
-        targets[spin] = tuple(position_vector(ops, n))
-        pairs[spin] = sum(not op.is_number for op in ops)
+        targets[spin] = adjacent_target(ops, n)
         nets[spin] = circuits.odd_even_sort(targets[spin])
+        lefts[spin] = [nets[spin].permutation[op.p] for op in ops if not op.is_number]
     gates = []
     up, down = ([[map_fswap(l, spin, mapping, n) for l in layer.swaps]
                  for layer in nets[spin].layers] for spin in (UP, DOWN))
     for up_layer, down_layer in zip_longest(up, down, fillvalue=[]):
         gates += up_layer + down_layer
-    m_up, m_down = pairs[UP], pairs[DOWN]
-    gates += reference_rotation_layer(m_up, m_down, mapping, n)
-    rotation_depth = (2 if mapping == "jw" else 1) if m_up + m_down else 0
+    rotation = reference_rotation_layer(lefts, mapping, n)
+    gates += rotation
+    rotation_depth = (2 if mapping == "jw" else 1) if rotation else 0
     decode = {}
     for op in clique.ops:
         a, b = nets[op.spin].permutation[op.p], nets[op.spin].permutation[op.q]
         if (a, b) != (targets[op.spin][op.p], targets[op.spin][op.q]):
             raise DiagonalizationError(f"{op}: swap network left it on slots {a}, {b}")
-        decode[op] = reference_sorted_decode(HoppingOp(a, b, op.spin), m_up, m_down, mapping, n)
+        moved = HoppingOp(a, b, op.spin)
+        local = pauli.operator_paulis(moved, mapping, n)
+        (rotated,) = pauli.conjugate_all([local], rotation, 2 * n)
+        decode[op] = _decode_from_diagonal(
+            pauli.support(local), rotated, moved.is_number, moved, "on its slots"
+        )
     return MeasCircuit(tuple(gates), max(len(up), len(down)) + rotation_depth, decode,
                        {UP: nets[UP].permutation, DOWN: nets[DOWN].permutation})
 
@@ -573,7 +573,7 @@ def reference_chunks(schedule):
         })
     names = {name for name, _ in gate_index}
     yield "]," + _v1_object({
-        "version": _v1_dumps(2),
+        "version": _v1_dumps(3),
         "n_orbitals": _v1_dumps(schedule.n),
         "mapping": _v1_dumps(schedule.mapping),
         "plane_order": _v1_dumps(schedule.universe.pi),
@@ -610,16 +610,16 @@ def test_block_emission_and_writer_equal_the_per_operator_references(mapping):
 @pytest.mark.parametrize("mapping", ["jw", "parity"])
 def test_no_rotation_gate_reaches_the_other_blocks_sorted_operators(mapping):
     """Why each block's decode tables are its own: the rotation gates of one
-    spin block act on no qubit of any sorted operator of the other block, so
+    spin block act on no qubit of any moved operator of the other block, so
     the other block's rotation leaves those operators' forms unchanged."""
     for n in range(2, 13):
         for mc in build_universe(n).cliques:
             rotated, supports = {}, {}
             for spin in (UP, DOWN):
                 ops = mc.ops_for_spin(spin)
-                perm = circuits.odd_even_sort(tuple(position_vector(ops, n))).permutation
-                pairs = sum(not op.is_number for op in ops)
-                rotated[spin] = {q for layer in _rotation(spin, pairs, mapping, n)
+                perm = circuits.odd_even_sort(adjacent_target(ops, n)).permutation
+                lefts = tuple(perm[op.p] for op in ops if not op.is_number)
+                rotated[spin] = {q for layer in _rotation(spin, lefts, mapping, n)
                                  for g in layer for q in g.qubits}
                 supports[spin] = [
                     (op, set(pauli.support(pauli.operator_paulis(
@@ -635,7 +635,7 @@ def test_no_rotation_gate_reaches_the_other_blocks_sorted_operators(mapping):
 def clear_block_caches():
     """Empty the emission caches before and after a test that patches the
     sorting network, so no broken block outlives it."""
-    caches = (circuits._network, circuits._block, circuits._slot_tables)
+    caches = (circuits._network, circuits._block, circuits._slot_table)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -658,3 +658,31 @@ def test_network_that_leaves_an_operator_off_its_slot_is_a_diagonalization_error
         with pytest.raises(DiagonalizationError) as exc:
             emit(clique, mapping, 4)
         assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+def test_adjacent_layout_lowers_depth_max_below_the_sorted_layout(mapping):
+    """At N = 3 to 16 the schedule is shallower than the one that sorts
+    pair k onto slots (2k, 2k+1): a clique's depth there is its deeper
+    block's network plus the rotation layers, if it has a pair."""
+    rotation_depth = 2 if mapping == "jw" else 1
+    for n in range(3, 17):
+        universe = build_universe(n)
+        sorted_depth = max(
+            max(odd_even_sort(position_vector(mc.ops_for_spin(spin), n)).depth
+                for spin in (UP, DOWN))
+            + (rotation_depth if any(not op.is_number for op in mc.ops) else 0)
+            for mc in universe.cliques
+        )
+        assert emit_schedule(universe, mapping).stats()["depth_max"] < sorted_depth, n
+
+
+def test_decode_tables_are_made_once_per_slot(clear_block_caches):
+    """A table depends on its slot, whether it is a pair, the spin and the
+    mapping: at most N-1 pair slots and N number slots per spin."""
+    for n in (6, 10):
+        for mapping in ("jw", "parity"):
+            circuits._block.cache_clear()
+            circuits._slot_table.cache_clear()
+            emit_schedule(build_universe(n), mapping)
+            assert 0 < circuits._slot_table.cache_info().currsize <= 2 * (2 * n - 1)

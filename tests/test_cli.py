@@ -470,6 +470,62 @@ def test_traced_cli_hooks_resolve(monkeypatch):
     assert not missing, missing
 
 
+def python_process(argv: list[str], program: tuple[str, ...] = ("-m", "planesched.cli"),
+                   **env: str) -> subprocess.CompletedProcess:
+    """Run ``python <program> <argv>``, the CLI by default, in a child process
+    that imports this same copy of the package, with ``env`` added."""
+    package_root = os.path.dirname(os.path.dirname(planesched.__file__))
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *program, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+def test_traced_cli_runs_verify_as_the_plain_cli_does(tmp_path, mapping):
+    """The traced benchmark harness runs a command to the end, every hook
+    found, and prints exactly what the plain command prints."""
+    script = os.path.join(os.path.dirname(__file__), "..", "perfbench", "traced_cli.py")
+    spans = tmp_path / "spans.json"
+    argv = ["verify", "--orbitals", "4", "--mapping", mapping]
+    traced = python_process([str(spans), *argv], (script,))
+    assert traced.returncode == 0, traced.stderr
+    assert json.loads(spans.read_text())["trace"]["missing"] == []
+    plain = python_process(argv)
+    assert plain.returncode == 0, plain.stderr
+    assert traced.stdout == plain.stdout
+
+
+def test_schedules_do_not_depend_on_the_hash_seed(tmp_path):
+    """String hashing is salted per process; no schedule byte and no line
+    of ``verify`` may follow it."""
+    for mapping in ("jw", "parity"):
+        written = []
+        for seed in ("0", "1"):
+            path = tmp_path / f"{mapping}-{seed}.json"
+            argv = ["schedule", "--orbitals", "7", "--mapping", mapping, "--out", str(path)]
+            result = python_process(argv, PYTHONHASHSEED=seed)
+            assert result.returncode == 0, result.stderr
+            written.append(path.read_bytes())
+        assert written[0] == written[1], mapping
+    verified = [python_process(["verify", "--orbitals", "6"], PYTHONHASHSEED=seed)
+                for seed in ("0", "1")]
+    assert [r.returncode for r in verified] == [0, 0], [r.stderr for r in verified]
+    assert verified[0].stdout == verified[1].stdout
+
+
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys, tmp_path):
+    def no_memory(n):
+        raise MemoryError
+
+    monkeypatch.setattr("planesched.cli.build_universe", no_memory)
+    for argv in (["stats"], ["verify"], ["schedule", "--out", str(tmp_path / "s.json")]):
+        assert main([*argv, "--orbitals", "100000"]) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: not enough memory for --orbitals 100000\n"), argv
+
+
 def test_estimate_rejects_negative_seed(tmp_path, capsys):
     ham_path = tmp_path / "ham.json"
     random_hamiltonian(2, seed=4).save(str(ham_path))
@@ -578,12 +634,7 @@ from planesched import sim, universe
 dense = sim.dense_hamiltonian(universe.random_hamiltonian(2, seed=4), "jw")
 assert dense.shape == (16, 16) and loaded()
 """
-    # the child imports this same copy of the package
-    package_root = os.path.dirname(os.path.dirname(planesched.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=env, timeout=120)
+    result = python_process([script], ("-c",))
     assert result.returncode == 0, result.stderr
 
 
@@ -606,12 +657,12 @@ mapping: jw
 state: random:7
 shots_per_clique: 500
 seed: 3
-energy: -1.933252774197
-energy_stderr: 0.178938296539
+energy: -2.006320885666
+energy_stderr: 0.178898774361
 energy_stderr_part: 0.119476810597
-energy_stderr_one_body: 0.109274908292
-energy_stderr_diff_spin: 0.041801000085
-energy_stderr_same_spin: 0.063685763774
+energy_stderr_one_body: 0.109289326923
+energy_stderr_diff_spin: 0.041538338058
+energy_stderr_same_spin: 0.063721838402
 """,
     "parity": """\
 orbitals: 4
@@ -619,12 +670,12 @@ mapping: parity
 state: random:7
 shots_per_clique: 500
 seed: 3
-energy: -1.954714063092
-energy_stderr: 0.179938841542
+energy: -1.976421015051
+energy_stderr: 0.179839270074
 energy_stderr_part: 0.123389934914
-energy_stderr_one_body: 0.106718459119
-energy_stderr_diff_spin: 0.041842403112
-energy_stderr_same_spin: 0.063350567816
+energy_stderr_one_body: 0.108068723460
+energy_stderr_diff_spin: 0.041724715541
+energy_stderr_same_spin: 0.060805313462
 """,
 }
 

@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from planesched.swapnet import UNUSED, SwapLayer, SwapNetwork, odd_even_sort, position_vector
+from planesched.swapnet import (
+    UNUSED,
+    SwapLayer,
+    SwapNetwork,
+    adjacent_target,
+    odd_even_sort,
+    position_vector,
+)
 from planesched.universe import DOWN, UP, HoppingOp, build_universe
 
 
@@ -159,3 +166,49 @@ def test_sort_matches_reference_on_random_vectors_with_unused():
             p = ranks + [UNUSED] * (n - len(ranks))
             rng.shuffle(p)
             assert odd_even_sort(p) == reference_odd_even_sort(p), p
+
+
+def test_adjacent_target_circle_round():
+    # nested pairs share the key 5/2: the narrowest at the two ends, the
+    # widest in the middle
+    ops = [HoppingOp(0, 5, UP), HoppingOp(1, 4, UP), HoppingOp(2, 3, UP)]
+    assert adjacent_target(ops, 6) == (2, 4, 0, 1, 5, 3)
+    # 1st and 3rd left to right, then the 2nd right to left
+    assert [mode for _, mode in sorted(zip(adjacent_target(ops, 6), range(6)))] == [
+        2, 3, 0, 5, 1, 4]
+
+
+def test_adjacent_target_numbers_and_unused_modes_keep_their_place():
+    assert adjacent_target([], 3) == (0, 1, 2)
+    assert adjacent_target([HoppingOp(p, p, UP) for p in range(4)], 4) == (0, 1, 2, 3)
+    # A(0, 3) has key 3/2; mode 1 (number) has key 1, unused mode 2 has key 2
+    assert adjacent_target([HoppingOp(0, 3, UP), HoppingOp(1, 1, UP)], 4) == (1, 0, 3, 2)
+    # a pair that is already adjacent stays where it is
+    assert adjacent_target([HoppingOp(1, 2, DOWN)], 4) == (0, 1, 2, 3)
+
+
+def test_adjacent_target_rejects_bad_blocks():
+    with pytest.raises(ValueError, match="appears twice"):
+        adjacent_target([HoppingOp(0, 1, UP), HoppingOp(1, 2, UP)], 4)
+    with pytest.raises(ValueError, match="out of range"):
+        adjacent_target([HoppingOp(0, 4, UP)], 4)
+
+
+def test_every_block_meets_on_adjacent_slots_within_the_sorted_layouts_swaps():
+    """Every distinct spin block at N = 2 to 16: the layout is a
+    permutation, each pair ends on adjacent slots, smaller mode left, and
+    its network is at most n deep and never swaps more than the network of
+    the sorted layout (pair k on slots (2k, 2k+1))."""
+    for n in range(2, 17):
+        blocks = {clique.ops_for_spin(spin)
+                  for clique in build_universe(n).cliques for spin in (UP, DOWN)}
+        for ops in sorted(blocks):
+            target = adjacent_target(ops, n)
+            assert sorted(target) == list(range(n)), (n, ops)
+            net = odd_even_sort(target)
+            assert net.permutation == target, (n, ops)
+            for op in ops:
+                if not op.is_number:
+                    assert target[op.q] == target[op.p] + 1, (n, op)
+            assert net.depth <= n, (n, ops)
+            assert net.swap_count <= odd_even_sort(position_vector(ops, n)).swap_count, (n, ops)
