@@ -2,8 +2,8 @@
 
 Stats go to stdout as stable ``key: value`` lines; the schedule itself is
 written only to the requested file.  Exit codes: 0 success, 1 verification
-failure or a size that does not fit in memory, 2 usage error.  Only
-``estimate`` imports ``sim`` and numpy.
+failure, a size that does not fit in memory or a closed stdout, 2 usage
+error.  Only ``estimate`` imports ``sim`` and numpy.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -104,10 +105,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         for term in classify_terms(n):
             route_term(term, universe)
-        print("routing_check: pass")
     except Exception as exc:  # noqa: BLE001 - report and fail
         failures.append(f"routing failed: {exc}")
         print("routing_check: fail")
+    else:
+        print("routing_check: pass")
 
     try:
         schedule = circuits_mod.emit_schedule(universe, args.mapping)
@@ -288,10 +290,15 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "seed", 0) < 0:
         build_parser().error("--seed must be 0 or positive")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except MemoryError:
         size = "" if args.orbitals is None else f" for --orbitals {args.orbitals}"
         print(f"error: not enough memory{size}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # reader gone: the rest goes to devnull, so the exit flush won't raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -21,7 +21,7 @@ the per-gate reference the tests compare against.
 from __future__ import annotations
 
 import os
-from functools import cache, lru_cache, reduce
+from functools import cache, reduce
 from itertools import groupby
 from operator import or_
 from typing import TYPE_CHECKING, NamedTuple
@@ -131,7 +131,7 @@ _PERMUTATIONS = {
 }
 
 
-@lru_cache(maxsize=256)
+@cache
 def _signed_block(
     gates: tuple[Gate, ...], lo: int, width: int, fixed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +193,7 @@ def _apply_permutations(psi: np.ndarray, gates: tuple[Gate, ...], n_qubits: int)
     return out
 
 
-@lru_cache(maxsize=256)
+@cache
 def _hadamards(mask: int) -> np.ndarray:
     """H on each set bit of ``mask`` and I on the bits below its top one, as
     one real little-endian matrix."""
@@ -533,7 +533,8 @@ def estimate_all(
 
 
 def sample_shots(
-    state: np.ndarray, circuit: MeasCircuit, shots: int, seed: int, n_qubits: int
+    state: np.ndarray, circuit: MeasCircuit, shots: int,
+    seed: int | np.random.SeedSequence, n_qubits: int,
 ) -> np.ndarray:
     """Multinomial outcome counts over all basis indices after the circuit."""
     if shots < 1:
@@ -561,9 +562,9 @@ def estimate_energy_sampled(
 ) -> SampledEnergy:
     """Shot-based energy estimate with its standard error.
 
-    Each clique gets ``shots`` samples; clique contributions are independent,
-    so their variances add, in total and within each family (every clique
-    belongs to one).
+    Clique c draws ``shots`` samples from the child stream ``(seed, c)`` of
+    ``seed``, so runs at other seeds are independent; clique contributions
+    are independent, so their variances add, in total and within each family.
     """
     nq = 2 * schedule.n
     const, coeffs = decomposition
@@ -577,7 +578,8 @@ def estimate_energy_sampled(
         if not terms:
             continue
         circuit = schedule.circuits[cid]
-        counts = sample_shots(state, circuit, shots, seed + cid, nq)
+        stream = np.random.SeedSequence(seed, spawn_key=(cid,))
+        counts = sample_shots(state, circuit, shots, stream, nq)
         freqs = counts / shots
         composite = np.zeros(1 << nq)
         for term, value in _term_values(terms, circuit, vector):

@@ -151,15 +151,6 @@ class Universe:
                 masks[op] = masks.get(op, 0) | bit
         return masks
 
-    def cliques_containing(self, op: HoppingOp) -> list[int]:
-        """Ids of the cliques that hold ``op``, ascending."""
-        mask, ids = self.op_masks.get(op, 0), []
-        while mask:
-            low = mask & -mask
-            ids.append(low.bit_length() - 1)
-            mask ^= low
-        return ids
-
 
 Block = tuple[HoppingOp, ...]  # operators of one spin: index-disjoint, in clique order
 

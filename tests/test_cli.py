@@ -471,29 +471,45 @@ def test_traced_cli_hooks_resolve(monkeypatch):
 
 
 def python_process(argv: list[str], program: tuple[str, ...] = ("-m", "planesched.cli"),
-                   **env: str) -> subprocess.CompletedProcess:
+                   stdout=subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
     """Run ``python <program> <argv>``, the CLI by default, in a child process
     that imports this same copy of the package, with ``env`` added."""
     package_root = os.path.dirname(os.path.dirname(planesched.__file__))
     env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, *program, *argv], capture_output=True, text=True,
-                          env=env, timeout=120)
+    return subprocess.run([sys.executable, *program, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("mapping", ["jw", "parity"])
-def test_traced_cli_runs_verify_as_the_plain_cli_does(tmp_path, mapping):
-    """The traced benchmark harness runs a command to the end, every hook
-    found, and prints exactly what the plain command prints."""
+@pytest.mark.parametrize("command", ["verify", "schedule", "estimate", "estimate_shots"])
+def test_traced_cli_runs_every_command_as_the_plain_cli_does(tmp_path, mapping, command):
+    """The traced benchmark harness runs each command it traces to the end,
+    every hook found, and prints, and writes, exactly what the plain
+    command does."""
     script = os.path.join(os.path.dirname(__file__), "..", "perfbench", "traced_cli.py")
     spans = tmp_path / "spans.json"
-    argv = ["verify", "--orbitals", "4", "--mapping", mapping]
-    traced = python_process([str(spans), *argv], (script,))
-    assert traced.returncode == 0, traced.stderr
+    ham_path = tmp_path / "ham.json"
+    random_hamiltonian(2, seed=4).save(str(ham_path))
+    argv = {"verify": ["verify", "--orbitals", "4"],
+            "schedule": ["schedule", "--orbitals", "4"],
+            "estimate": ["estimate", "--hamiltonian", str(ham_path)],
+            "estimate_shots": ["estimate", "--hamiltonian", str(ham_path), "--shots", "50"],
+            }[command] + ["--mapping", mapping]
+
+    def output(side: str, argv: list[str], *program: str) -> tuple[str, bytes]:
+        out_file = tmp_path / f"{side}.json"
+        if command == "schedule":
+            argv = [*argv, "--out", str(out_file)]
+        result = python_process(argv, *program)
+        assert result.returncode == 0, (side, result.stderr)
+        written = out_file.read_bytes() if command == "schedule" else b""
+        return result.stdout.replace(str(out_file), "<out>"), written
+
+    traced = output("traced", [str(spans), *argv], (script,))
     assert json.loads(spans.read_text())["trace"]["missing"] == []
-    plain = python_process(argv)
-    assert plain.returncode == 0, plain.stderr
-    assert traced.stdout == plain.stdout
+    assert traced == output("plain", argv)
+    assert traced[0]
 
 
 def test_schedules_do_not_depend_on_the_hash_seed(tmp_path):
@@ -524,6 +540,48 @@ def test_out_of_memory_is_one_error_line(monkeypatch, capsys, tmp_path):
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "", "error: not enough memory for --orbitals 100000\n"), argv
+
+
+def test_a_closed_stdout_is_not_a_routing_failure(monkeypatch, tmp_path):
+    """The reader goes away as the routing line is written: the routing
+    check has passed, so no failure line is attempted, and the command ends
+    with exit 1 instead of an exception."""
+
+    class ClosingStdout:
+        def __init__(self, fd):
+            self.fd, self.attempted = fd, []
+
+        def write(self, text):
+            self.attempted.append(text)
+            if text.startswith("routing_check"):
+                raise BrokenPipeError(32, "Broken pipe")
+            return len(text)
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as target:
+        stdout = ClosingStdout(target.fileno())
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["verify", "--orbitals", "4"]) == 1
+    assert "routing_check: pass" in stdout.attempted
+    assert not any("fail" in text for text in stdout.attempted), stdout.attempted
+
+
+# an empty PYTHONUNBUFFERED leaves stdout buffered
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_pipe_exits_one_without_a_traceback(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = python_process(["verify", "--orbitals", "4"], stdout=write_end,
+                                PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, "")
 
 
 def test_estimate_rejects_negative_seed(tmp_path, capsys):
@@ -657,12 +715,12 @@ mapping: jw
 state: random:7
 shots_per_clique: 500
 seed: 3
-energy: -2.006320885666
-energy_stderr: 0.178898774361
-energy_stderr_part: 0.119476810597
-energy_stderr_one_body: 0.109289326923
-energy_stderr_diff_spin: 0.041538338058
-energy_stderr_same_spin: 0.063721838402
+energy: -1.704160703079
+energy_stderr: 0.181870500559
+energy_stderr_part: 0.125451113150
+energy_stderr_one_body: 0.108380265637
+energy_stderr_diff_spin: 0.041135957060
+energy_stderr_same_spin: 0.062453568676
 """,
     "parity": """\
 orbitals: 4
@@ -670,12 +728,12 @@ mapping: parity
 state: random:7
 shots_per_clique: 500
 seed: 3
-energy: -1.976421015051
-energy_stderr: 0.179839270074
-energy_stderr_part: 0.123389934914
-energy_stderr_one_body: 0.108068723460
-energy_stderr_diff_spin: 0.041724715541
-energy_stderr_same_spin: 0.060805313462
+energy: -1.866316733229
+energy_stderr: 0.178594845394
+energy_stderr_part: 0.119833378414
+energy_stderr_one_body: 0.110170050692
+energy_stderr_diff_spin: 0.041687033624
+energy_stderr_same_spin: 0.060504804583
 """,
 }
 

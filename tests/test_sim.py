@@ -416,6 +416,41 @@ def test_sampled_energy_close_to_exact():
     assert energy == energy2
 
 
+def test_no_clique_shares_its_sample_stream_under_another_seed(monkeypatch):
+    """Runs at different seeds are independent: clique c under seed s and
+    clique c - k under seed s + k draw from different streams, and neither
+    draws from ``default_rng(s)``, the stream of a ``random:<s>`` state.
+    Every clique is measured with one circuit here, so equal streams would
+    give equal counts."""
+    n = 3
+    schedule = emit_schedule(build_universe(n), "jw")
+    psi = occupation_to_qubit_state(random_occupation_state(2 * n, seed=4), "jw", 2 * n)
+    decomposition = decompose(random_hamiltonian(n, seed=6))
+    sampled = [cid for cid, terms in sorted(terms_by_clique(schedule).items())
+               if any(t in decomposition[1] for t in terms)]
+    assert len(sampled) > 10
+    drawn = []
+
+    def one_circuit(state, circuit, *rest):
+        drawn.append(sample_shots(state, schedule.circuits[0], *rest))
+        return drawn[-1]
+
+    monkeypatch.setattr(sim, "sample_shots", one_circuit)
+    counts = {}
+    for seed in range(len(schedule.circuits) + 3):
+        drawn.clear()
+        estimate_energy_sampled(psi, schedule, decomposition, shots=50, seed=seed)
+        counts.update(((seed, cid), c) for cid, c in zip(sampled, drawn, strict=True))
+    plain = [sample_shots(psi, schedule.circuits[0], 50, seed, 2 * n) for seed in range(40)]
+    for seed in range(3):
+        for c in sampled:
+            assert not any(np.array_equal(counts[seed, c], p) for p in plain), (seed, c)
+            for c2 in sampled:
+                if c2 > c:
+                    assert not np.array_equal(counts[seed, c2], counts[seed + c2 - c, c]), (
+                        seed, c, c2)
+
+
 def test_sampled_family_variances_add_up_to_total():
     n = 3
     universe = build_universe(n)

@@ -102,7 +102,7 @@ def test_gate_validation_messages():
 def test_containers_take_the_same_arguments():
     clique = MeasurementClique(0, "part", (H0,))
     universe = Universe(n=2, pi=2, anchor_groups=[], cliques=[clique])
-    assert universe.cliques_containing(H0) == [0] and universe.cliques_containing(H1) == []
+    assert universe.op_masks == {H0: 1}
     assert len(universe) == 1 and list(universe) == [clique]
     schedule = Schedule(n=2, mapping="jw", universe=universe, circuits=[])
     assert (schedule.n, schedule.mapping, schedule.universe, schedule.circuits) == (

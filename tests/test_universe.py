@@ -222,7 +222,8 @@ def test_route_same_spin_product():
     # the pairing rounds happen to co-schedule (0,2) and (1,3) at n = 6, so
     # the lowest-id rule selects that earlier clique
     anchor = point_code(gamma_point(4, 3), 5)
-    candidates = set(u.cliques_containing(term[0])) & set(u.cliques_containing(term[1]))
+    index = reference_index(u)
+    candidates = set(index[term[0]]) & set(index[term[1]])
     anchored = [
         c.id for c in u.cliques if c.source == ("anchor", anchor)
     ]
@@ -273,8 +274,7 @@ def test_mask_routing_matches_list_intersection():
     for n in range(2, 15):
         u = build_universe(n)
         index = reference_index(u)
-        for op, ids in index.items():
-            assert u.cliques_containing(op) == ids
+        assert u.op_masks == {op: sum(1 << i for i in ids) for op, ids in index.items()}
         for term in classify_terms(n):
             assert route_term(term, u) == reference_route_term(term, index), (n, term)
 
