@@ -331,7 +331,7 @@ def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
     return MeasCircuit(tuple(gates), depth, decode, {UP: up.permutation, DOWN: down.permutation})
 
 
-SCHEDULE_VERSION = 3
+SCHEDULE_VERSION = 4
 
 # only non-standard gate matrices go into the schedule file
 _SERIALIZED_MATRICES = {"FSWAP2", "FSWAP3", "FSWAP_EDGE"}

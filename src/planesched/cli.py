@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--hamiltonian", required=True, help="Hamiltonian JSON file")
     p_est.add_argument("--state", default="random:0",
                        help="random:<seed>, basis:<bits>, or an amplitude file")
-    p_est.add_argument("--shots", type=int, default=0, help="0 for exact estimation")
+    p_est.add_argument("--shots", type=int, default=0, help="0 for exact estimation, else at least 2")
     p_est.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_est.set_defaults(func=cmd_estimate)
     return parser
@@ -284,9 +284,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "orbitals", None) is not None and args.orbitals < 2:
         build_parser().error("--orbitals must be at least 2")
-    # the sampler's multinomial counts are int64
-    if not 0 <= getattr(args, "shots", 0) <= 2**63 - 1:
-        build_parser().error("--shots must be 0 (exact) or positive, at most 2**63 - 1")
+    # the sampler's multinomial counts are int64; one shot gives no variance
+    # (the plug-in estimate is always 0), so sampling needs at least two
+    shots = getattr(args, "shots", 0)
+    if shots == 1 or not 0 <= shots <= 2**63 - 1:
+        build_parser().error("--shots must be 0 (exact) or at least 2, at most 2**63 - 1")
     if getattr(args, "seed", 0) < 0:
         build_parser().error("--seed must be 0 or positive")
     try:

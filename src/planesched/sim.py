@@ -565,7 +565,11 @@ def estimate_energy_sampled(
     Clique c draws ``shots`` samples from the child stream ``(seed, c)`` of
     ``seed``, so runs at other seeds are independent; clique contributions
     are independent, so their variances add, in total and within each family.
+    One shot gives no variance estimate (the plug-in variance is always 0), so
+    ``shots`` must be at least 2.
     """
+    if shots < 2:
+        raise ValueError(f"need shots >= 2 for a standard error, got {shots}")
     nq = 2 * schedule.n
     const, coeffs = decomposition
     grouped = terms_by_clique(schedule)

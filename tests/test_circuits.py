@@ -268,34 +268,34 @@ def test_verify_schedule_dict_reports_header_mismatch():
 
 # schedule files stay byte-identical for a fixed (orbitals, mapping, version)
 SCHEDULE_SHA256 = {
-    (3, "jw"): "7a7d27ed12afcae326b56010035511a4bc2782eab8d7acdf8845a7bc065b514e",
-    (3, "parity"): "e9a39433398df94ebc3e6c69e1b88c8c44694e6fdb47d750398acf9363616603",
-    (4, "jw"): "c2c21103bf40567e007534e5b1306e7e46b75a83636e8faa951e17488efc86bb",
-    (4, "parity"): "5e333c2f4e8100d76f4b776089212ea22165caae594fe9396b84fab639cd2a02",
-    (6, "jw"): "909bba432992c4d848e16684794ca868053a5578b743f788eba451bbfb65d368",
-    (6, "parity"): "9d2726aefe2a7d72954a9295d0d1507a876eeaf8ab0c20712784598de5f2f5d4",
-    (7, "jw"): "a32cab49920e0b0962440acf025c2a789227965df21f7f42a8479b7c5c6c39f4",
-    (7, "parity"): "ec11bcd59a11d743c68a8be12394bddfb819b05549297d54fba9c7710ee32dce",
-    (10, "jw"): "f13d3f040329101e18975a1ca7dc7a7f893fdd286568452366d333bd2531e302",
-    (10, "parity"): "f4ceb71e31a4d1fa70e3f1b03be54cab81f9c14543e608c28adc3e36bec7d02b",
-    (18, "jw"): "f21eab3c28638aadeec270690b1d937ff835c65c2f1319f6bd95b852ffdb4d9d",
-    (18, "parity"): "c47383661e74a69e1ef1a121136b742d9d3de4c5779e239da66ba261e83ac76e",
+    (3, "jw"): "ba76acf06d17427741c82c5bfae9895ccce2dc954a7931751b5e2e1d70ea3c92",
+    (3, "parity"): "85423a3a3e326a2bfc9f0dfbb5ef871d2ccb3c25238512af8c1a8a5f4080544a",
+    (4, "jw"): "fa2b193520cd53d59993a7a812303b1d71f9a1a8feb49c26e56050b189377263",
+    (4, "parity"): "4505b057f4cf5a153a776f450738e53d1ce27b4f4df9bb2b619260c414184027",
+    (6, "jw"): "17e56d4290fa441dad53614c7210ea9bb9343cf0637ba2febf6f50b34cfb866c",
+    (6, "parity"): "f79914a6900b3b3e0d429a2d9ad82484f3788ed90cc7c3f06e3ca7012811f26b",
+    (7, "jw"): "f57df19c8d66115350a9e49f078a65922349d43078c305d726997bb4165f9f98",
+    (7, "parity"): "988f937358f00c644259098264145da743d8480f42ea68487e94726790e84424",
+    (10, "jw"): "0b642133cd91bf2d53dd64d51b52cb592e8d62592ed8a3322617dc227c0161a7",
+    (10, "parity"): "acfae6668b3787a29463f2610b33334383b73e6ebc2a0018466e27800707d08a",
+    (18, "jw"): "db3239ca5dbaca34244890e23e398d6de8d52fb1a2a2de73d5d9d66c8302df59",
+    (18, "parity"): "dd9964f27d9233d69265ab4f76bd47119abfc9eb94c8fe6458a4448ae4f05dd1",
 }
 
 # the same schedules in format version 1, written by ``v1_chunks``
 V1_SCHEDULE_SHA256 = {
-    (3, "jw"): "2deb0cd5b218b0345cd8990452a114df18fd023bbcb38c6d79e184de33b50c21",
-    (3, "parity"): "be608ac98fc3baabbbf3021ae33da0bf1b5aebdffe813f07bf0bfb9d73b0bea0",
-    (4, "jw"): "4e44d2a9082ac5bff630572daf057c7eb8bcdfbcf945f646542642c5ed55e794",
-    (4, "parity"): "452276d1a9eba06e74c800d3989b6e3fa787a13b5718cf4881f76444dacce9ea",
-    (6, "jw"): "aa3504ec25032a77a6fc8a303f2ccc715e488c8d79e5601e6bf96678ee7012c2",
-    (6, "parity"): "f6a8577b371317d096ccd728e668c5680dee2e6eea44a2e868bba310c07ccfbf",
-    (7, "jw"): "358a072dd8f3b41566edc088525e6843e668f5b86e0ac9d03308b103e6cf459a",
-    (7, "parity"): "a6d8c317607753a809064603839ee58916f5bdd46777f60ca2a9a04ddfc45a2d",
-    (10, "jw"): "6c7a9f61e7f09869095572910743fa2e5b66e1197a07ac6ba14e1a5ee8d3ed66",
-    (10, "parity"): "b78c67715eb3685cbcf5890962a93b10a176f211811fb9a9f8f42f0f18fd45e4",
-    (18, "jw"): "62b271e7811cd2e585b74aae39ffdfefdc9f99c20d76dc5ec0fd58a64f1e9bed",
-    (18, "parity"): "81f6350755f2ae42b98fccc5f13d2b3aaebaf5e9dfff1c005e9190c176cadd53",
+    (3, "jw"): "dd015000c2e4d46ebdefddfce7330a39e27af66d6969a72db7e3131c4b3ba85d",
+    (3, "parity"): "442f462f8bc2f881e63165e18e9b0d3ba8a1bbb836af0c7bbbc6ddbb58e1c081",
+    (4, "jw"): "defbfe923d452694dce5c3ed9c5227a8a37b87dd0b3c0dc80560f18951efa72d",
+    (4, "parity"): "6ec81fd94e5901642ae3522ffa61020e3cc1ae51c3038f450d8d75ff7785e086",
+    (6, "jw"): "d5af5bbcfb0841f008375eeb78c7cc6acb723983d055b459e89d4c25125daa85",
+    (6, "parity"): "17c4e381577b1e76a28b70ada2d4fcf0702ad3a5c6e1e1a64e80831faeeb472b",
+    (7, "jw"): "af9df6aa4f8ccf48ab21a8dcfcd421f857bade13b96cb047dba0c80536898d4e",
+    (7, "parity"): "15f81a092d7e22817b8eb3625450dcf87ef595b1d6062d4dcbd99d400278d51c",
+    (10, "jw"): "c017184cbc20c8996acbb08cd8615ecc9389f228daa5f76d7081909760be9859",
+    (10, "parity"): "558e2f25aadf037b15650363893db0d2a099f1bd3aa88c7adc7e1a36b3951bf1",
+    (18, "jw"): "2cb3c6f3bb894be9250c8036deed982268f45afe39efe656b9d9bda07ac7293d",
+    (18, "parity"): "b5776abc4df7217776b73710a8f2bddfdd815ca4d56c388007b777eec1070287",
 }
 
 
@@ -355,8 +355,8 @@ def v1_chunks(schedule):
 
 
 def expand_to_v1(data: dict) -> dict:
-    """A document of format 2 or 3 (one layout; 3 has the adjacent-pair
-    circuits) in version-1 shape: each gate index replaced by
+    """A document of format 2, 3 or 4 (one layout; 3 has the adjacent-pair
+    circuits, 4 the rounds fixed at the middle label) in version-1 shape: each gate index replaced by
     its ``{name, qubits}`` plus the name's matrix, if it has one."""
     defs, matrices = data.pop("gate_defs"), data.pop("gate_matrices")
     gates = [dict(d, matrix=matrices[d["name"]]) if d["name"] in matrices else d
@@ -454,7 +454,7 @@ def corrupt(data: dict, kind: str) -> None:
     ("index_to_another_gate", "].gates[0]: "),
     ("gate_def_shifted", "schedule.gate_defs["),
     ("matrix_perturbed", "schedule.gate_matrices.FSWAP3[9][0]: "),
-    ("version_1", "version: file has 1, expected 3"),
+    ("version_1", "version: file has 1, expected 4"),
 ])
 def test_verify_out_rejects_corrupt_v2_file(tmp_path, capsys, kind, where):
     path = str(tmp_path / "sched.json")
@@ -475,7 +475,7 @@ def test_verify_out_rejects_corrupt_v2_file(tmp_path, capsys, kind, where):
     assert problems and all(where in p for p in problems), problems
     if kind == "version_1":
         # a file in another format is reported by its header alone
-        assert problems == ["version: file has 1, expected 3"]
+        assert problems == ["version: file has 1, expected 4"]
 
 
 def test_schedule_matrices_serialized_as_pairs():
@@ -573,7 +573,7 @@ def reference_chunks(schedule):
         })
     names = {name for name, _ in gate_index}
     yield "]," + _v1_object({
-        "version": _v1_dumps(3),
+        "version": _v1_dumps(4),
         "n_orbitals": _v1_dumps(schedule.n),
         "mapping": _v1_dumps(schedule.mapping),
         "plane_order": _v1_dumps(schedule.universe.pi),

@@ -65,6 +65,15 @@ def test_stats_family_breakdown_n4(capsys):
     assert stats["cliques_total"] == "25"
 
 
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+def test_stats_depth_at_32_orbitals_is_within_the_paper_bound(capsys, mapping):
+    """Each measurement is a depth-O(N) circuit on a line of qubits: at
+    N = 32 the deepest clique circuit stays at most 24 layers."""
+    code, out = run(capsys, "stats", "--orbitals", "32", "--mapping", mapping)
+    assert code == 0
+    assert int(parse_stats(out)["depth_max"]) <= 24
+
+
 def test_verify_passes(capsys):
     for n in ("3", "6"):
         code, out = run(capsys, "verify", "--orbitals", n)
@@ -359,8 +368,9 @@ def test_estimate_bad_inputs_are_one_line_errors(tmp_path, capsys):
         assert code == 2
         assert_one_line_error(capsys)
 
-    # the sampler's counts are int64: 2**63 - 1 shots is the largest that runs
-    for shots in (-5, 2**63, 10**20):
+    # the sampler's counts are int64: 2**63 - 1 shots is the largest that runs;
+    # one shot would print a standard error of 0, so it is refused
+    for shots in (-5, 1, 2**63, 10**20):
         with pytest.raises(SystemExit) as err:
             main(["estimate", "--hamiltonian", str(ham_path), "--shots", str(shots)])
         assert err.value.code == 2
@@ -715,11 +725,11 @@ mapping: jw
 state: random:7
 shots_per_clique: 500
 seed: 3
-energy: -1.704160703079
-energy_stderr: 0.181870500559
+energy: -1.778828314972
+energy_stderr: 0.182394283010
 energy_stderr_part: 0.125451113150
-energy_stderr_one_body: 0.108380265637
-energy_stderr_diff_spin: 0.041135957060
+energy_stderr_one_body: 0.109313578537
+energy_stderr_diff_spin: 0.040985192341
 energy_stderr_same_spin: 0.062453568676
 """,
     "parity": """\
@@ -728,11 +738,11 @@ mapping: parity
 state: random:7
 shots_per_clique: 500
 seed: 3
-energy: -1.866316733229
-energy_stderr: 0.178594845394
+energy: -1.769923500183
+energy_stderr: 0.177244155985
 energy_stderr_part: 0.119833378414
-energy_stderr_one_body: 0.110170050692
-energy_stderr_diff_spin: 0.041687033624
+energy_stderr_one_body: 0.108011181520
+energy_stderr_diff_spin: 0.041571691545
 energy_stderr_same_spin: 0.060504804583
 """,
 }

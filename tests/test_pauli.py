@@ -192,7 +192,11 @@ def test_moved_swap_trips_exact_tripwire_and_oracle(capsys, monkeypatch):
             )
             assert worst > 0.25, (mapping, cid)
 
-    broken, _ = with_moved_swap(emit_schedule(universe, "jw"), 2, 1)
+    schedule = emit_schedule(universe, "jw")
+    cid, first = next((cid, g) for cid, circ in enumerate(schedule.circuits)
+                      for g in circ.gates if g.name.startswith("FSWAP"))
+    shift = 1 if first.qubits[-1] + 1 < 2 * n else -1
+    broken, _ = with_moved_swap(schedule, cid, shift)
     monkeypatch.setattr(circuits, "emit_schedule", lambda u, m: broken)
     assert main(["verify", "--orbitals", "3"]) == 1
     out = capsys.readouterr().out

@@ -414,6 +414,9 @@ def test_sampled_energy_close_to_exact():
     assert abs(energy - exact) <= 6 * stderr
     energy2, _, _ = estimate_energy_sampled(psi, schedule, decompose(ham), shots=20000, seed=5)
     assert energy == energy2
+    # one shot per clique has no variance estimate; its stderr would read 0
+    with pytest.raises(ValueError, match="shots >= 2"):
+        estimate_energy_sampled(psi, schedule, decompose(ham), shots=1, seed=5)
 
 
 def test_no_clique_shares_its_sample_stream_under_another_seed(monkeypatch):

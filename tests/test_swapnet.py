@@ -212,3 +212,16 @@ def test_every_block_meets_on_adjacent_slots_within_the_sorted_layouts_swaps():
                     assert target[op.q] == target[op.p] + 1, (n, op)
             assert net.depth <= n, (n, ops)
             assert net.swap_count <= odd_even_sort(position_vector(ops, n)).swap_count, (n, ops)
+
+
+@pytest.mark.parametrize("n", [16, 24, 32, 48, 64])
+def test_round_blocks_are_half_the_line_deep(n):
+    """The circle method fixes label n // 2, the middle of the line, so no
+    round pairs the two ends: every one_body and diff_spin block sorts in
+    at most ceil((n - 2) / 2) + 2 layers."""
+    blocks = {clique.ops_for_spin(spin)
+              for clique in build_universe(n).cliques
+              if clique.family in ("one_body", "diff_spin") for spin in (UP, DOWN)}
+    bound = -(-(n - 2) // 2) + 2
+    for ops in sorted(blocks):
+        assert odd_even_sort(adjacent_target(ops, n)).depth <= bound, (n, ops)
