@@ -331,7 +331,7 @@ def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
     return MeasCircuit(tuple(gates), depth, decode, {UP: up.permutation, DOWN: down.permutation})
 
 
-SCHEDULE_VERSION = 4
+SCHEDULE_VERSION = 5
 
 # only non-standard gate matrices go into the schedule file
 _SERIALIZED_MATRICES = {"FSWAP2", "FSWAP3", "FSWAP_EDGE"}
@@ -364,6 +364,9 @@ class Schedule:
             "closed_form_total": 2 * n * n - 2 * n + 1,
             "cover_lower_bound": lower_bound(n),
             "depth_max": max(depths),
+            # some clique holds the pair (0, n-1): nearest-neighbour swaps
+            # close its gap of n-1 by at most 2 a layer, then it is rotated
+            "depth_lower_bound": -(-(n - 2) // 2) + len(_rotation(UP, (0,), self.mapping, n)),
             "depth_histogram": dict(sorted(hist.items())),
             "gate_count_total": sum(gate_counts),
             "gate_count_max": max(gate_counts),

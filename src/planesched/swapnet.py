@@ -2,27 +2,33 @@
 
 Measuring a clique needs each hopping operator's two modes on adjacent
 slots of its spin block; which two slots is free.  ``adjacent_target``
-chooses them by one rule: every operator, and every mode the block does not
-use, is a unit placed near the mean of its modes, so each pair meets close
-to where its modes already are.  The network is the odd-even transposition
-sort of that target (odd-indexed compares first), so a block of n modes
-never needs more than n layers and each layer's swaps are disjoint
-nearest-neighbor transpositions.  ``position_vector`` is the earlier
-layout, hopping operator m on slots (2m, 2m+1) and the number operators
-after the pairs; it stays as the reference the new layout is measured
-against.
+chooses them: every operator, and every mode the block does not use, is a
+unit placed near the mean of its modes, so each pair meets close to where
+its modes already are.  Where a unit lies inside its neighbour's span, the
+two then trade places if that makes their modes' travel distances, largest
+first, lexicographically smaller; nested units cost the same swaps in
+either order, so this lowers depth and never adds a swap.  The network is
+the odd-even transposition sort of that target, started on whichever
+compare parity gives fewer layers (odd on a tie); each layer's swaps are
+disjoint nearest-neighbor transpositions.  At N = 16, 18, 24, 32 and 48
+every spin block of the universe sorts in at most N/2 layers.
+``position_vector`` is the earlier layout, hopping operator m on slots
+(2m, 2m+1) and the number operators after the pairs; it stays as the
+reference the new layout is measured against.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 from itertools import groupby
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .universe import HoppingOp
 
 UNUSED = -1  # sorts after every real position
+_INDICES = attrgetter("p", "q")
 
 
 class SwapLayer(namedtuple("SwapLayer", ["parity", "swaps"])):
@@ -83,56 +89,139 @@ def adjacent_target(ops: Iterable[HoppingOp], n: int) -> tuple[int, ...]:
     (key, width).  In a run of equal keys (nested pairs, as in a
     circle-method round) the 1st, 3rd, 5th, ... unit is placed left to
     right, then the 2nd, 4th, ... right to left, so the narrowest units sit
-    at the two ends and the widest in the middle.  Slots are then assigned
-    left to right in that order, the smaller mode of a pair first.
+    at the two ends and the widest in the middle.  That order is then
+    balanced (``_balance``) and slots are assigned left to right in it, the
+    smaller mode of a pair first.  Only the operators' indices enter, so
+    each distinct index tuple is laid out once.
     """
+    return _layout(tuple(map(_INDICES, ops)), n)
+
+
+@cache
+def _layout(pairs: tuple[tuple[int, int], ...], n: int) -> tuple[int, ...]:
+    """``adjacent_target`` of the operators with these (p, q) indices."""
     free = [True] * n
     units = []  # (twice the key, width, members): keys in halves stay integers
-    for op in ops:
-        members = (op.p,) if op.is_number else (op.p, op.q)
+    for p, q in pairs:
+        members = (p,) if p == q else (p, q)
         for mode in members:
             if not 0 <= mode < n:
                 raise ValueError(f"mode {mode} out of range for block of {n}")
             if not free[mode]:
                 raise ValueError(f"mode {mode} appears twice in one spin sector")
             free[mode] = False
-        units.append((op.p + op.q, op.q - op.p, members))
+        units.append((p + q, q - p, members))
     units += [(2 * mode, 0, (mode,)) for mode in range(n) if free[mode]]
     units.sort()
+    order = []
+    for _, run in groupby(units, key=itemgetter(0)):
+        run = [members for _, _, members in run]
+        order += run[0::2] + run[1::2][::-1]
+    _balance(order)
     target = [UNUSED] * n
     slot = 0
-    for _, run in groupby(units, key=itemgetter(0)):
-        run = list(run)
-        for _, _, members in run[0::2] + run[1::2][::-1]:
-            for mode in members:
-                target[mode] = slot
-                slot += 1
+    for members in order:
+        for mode in members:
+            target[mode] = slot
+            slot += 1
     return tuple(target)
 
 
-def odd_even_sort(p: Sequence[int]) -> SwapNetwork:
-    """Sorting network for a position vector, odd compares first.
+def _balance(order: list[tuple[int, ...]]) -> None:
+    """Swap neighbouring units, in place, where one lies strictly inside the
+    other's span and the swap makes the descending-sorted travel distances
+    |slot - mode| of their modes lexicographically smaller; pass again until
+    a pass swaps nothing.
 
-    Returns only the non-empty layers plus the realized mode permutation;
-    after at most len(p) passes the vector is sorted with all -1 at the end.
-    Two passes in a row without a swap have compared every adjacent pair, so
-    the sort stops there.
+    Nested units cost the same swaps in either order: each mode of the
+    inner unit is out of order with exactly one mode of the outer pair, the
+    right one when the pair comes first and the left one when it comes
+    second.  So balancing moves depth, never the swap count.  Each swap
+    makes the block's sorted distances smaller, so the passes end.
+    """
+    swapped = len(order) > 1
+    while swapped:
+        swapped = False
+        slot = 0  # first slot of a, the left unit of the compare
+        a = order[0]
+        for i in range(1, len(order)):
+            b = order[i]
+            if (a[0] < b[0] and b[-1] < a[-1]) or (b[0] < a[0] and a[-1] < b[-1]):
+                # travel distances as they are (a first) and swapped (b first)
+                mid, alt = slot + len(a), slot + len(b)
+                kept = [abs(slot - a[0]), abs(mid - b[0])]
+                moved = [abs(slot - b[0]), abs(alt - a[0])]
+                if len(a) == 2:
+                    kept.append(abs(slot + 1 - a[1]))
+                    moved.append(abs(alt + 1 - a[1]))
+                if len(b) == 2:
+                    kept.append(abs(mid + 1 - b[1]))
+                    moved.append(abs(slot + 1 - b[1]))
+                kept.sort(reverse=True)
+                moved.sort(reverse=True)
+                if moved < kept:
+                    order[i - 1], order[i] = b, a
+                    swapped = True
+                    slot = alt
+                    continue
+            slot += len(a)
+            a = b
+
+
+def odd_even_sort(p: Sequence[int]) -> SwapNetwork:
+    """Sorting network for a position vector: the odd-even transposition
+    sort from whichever compare parity gives fewer layers, odd on a tie.
+
+    Returns only the non-empty layers plus the realized mode permutation,
+    which is the stable sort of ``p`` with every -1 after the real
+    positions: a compare never swaps equal values, so either start ends
+    there.
+
+    A layer moves a mode at most one slot, so no network is shallower than
+    the farthest any mode travels, ``travel``.  A start whose first pass
+    cannot move some farthest mode m (its first compare has left slot m
+    going right, m-1 going left) needs travel + 1 layers, unless that pass
+    swaps nothing, and then its network is the other start's.  So the sort
+    runs first from the start that moves a farthest mode at once, odd if
+    one of them is odd, and runs the other start only when the first did
+    not reach ``travel``.
     """
     n = len(p)
     last = max(p, default=UNUSED) + 1  # UNUSED sorts after every real position
     work = [v if v != UNUSED else last for v in p]
-    mode_at = list(range(n))  # slot -> mode
+    slot_of = [0] * n  # mode -> final slot
+    for slot, mode in enumerate(sorted(range(n), key=work.__getitem__)):
+        slot_of[mode] = slot
+    travel = max([abs(slot - mode) for mode, slot in enumerate(slot_of)], default=0)
+    first = 1 if any((mode if slot > mode else mode - 1) % 2
+                     for mode, slot in enumerate(slot_of) if abs(slot - mode) == travel) else 0
+    layers = _transposition_layers(work, first)
+    if len(layers) > travel:  # the other start may be shallower
+        other = _transposition_layers(work, 1 - first)
+        odd, even = (layers, other) if first else (other, layers)
+        layers = even if len(even) < len(odd) else odd
+    return SwapNetwork(n, tuple(layers), tuple(slot_of))
+
+
+def _transposition_layers(values: list[int], first: int) -> list[SwapLayer]:
+    """The non-empty layers of the odd-even transposition sort of ``values``
+    (left unchanged) whose first pass compares slots (l, l+1) with
+    l % 2 == ``first``.
+
+    After at most len(values) passes the vector is sorted.  Two passes in a
+    row without a swap have compared every adjacent pair, so the sort stops
+    there.
+    """
+    n = len(values)
+    work = list(values)
     layers: list[SwapLayer] = []
     quiet = 0  # passes in a row without a swap
     for pass_idx in range(n):
-        start = 1 - pass_idx % 2  # odd compares on even passes
-        swaps: list[int] = []
-        for l in range(start, n - 1, 2):
-            if work[l] > work[l + 1]:
-                work[l], work[l + 1] = work[l + 1], work[l]
-                mode_at[l], mode_at[l + 1] = mode_at[l + 1], mode_at[l]
-                swaps.append(l)
+        start = first ^ (pass_idx % 2)
+        swaps = [l for l in range(start, n - 1, 2) if work[l] > work[l + 1]]
         if swaps:
+            for l in swaps:
+                work[l], work[l + 1] = work[l + 1], work[l]
             layers.append(SwapLayer("odd" if start else "even", tuple(swaps)))
             quiet = 0
         else:
@@ -141,8 +230,5 @@ def odd_even_sort(p: Sequence[int]) -> SwapNetwork:
                 break
     else:
         if any(work[i] > work[i + 1] for i in range(n - 1)):
-            raise RuntimeError(f"odd-even sort left {list(p)} unsorted after {n} passes")
-    slot_of = [0] * n  # mode -> final slot
-    for slot, mode in enumerate(mode_at):
-        slot_of[mode] = slot
-    return SwapNetwork(n, tuple(layers), tuple(slot_of))
+            raise RuntimeError(f"odd-even sort left {values} unsorted after {n} passes")
+    return layers

@@ -268,18 +268,18 @@ def test_verify_schedule_dict_reports_header_mismatch():
 
 # schedule files stay byte-identical for a fixed (orbitals, mapping, version)
 SCHEDULE_SHA256 = {
-    (3, "jw"): "ba76acf06d17427741c82c5bfae9895ccce2dc954a7931751b5e2e1d70ea3c92",
-    (3, "parity"): "85423a3a3e326a2bfc9f0dfbb5ef871d2ccb3c25238512af8c1a8a5f4080544a",
-    (4, "jw"): "fa2b193520cd53d59993a7a812303b1d71f9a1a8feb49c26e56050b189377263",
-    (4, "parity"): "4505b057f4cf5a153a776f450738e53d1ce27b4f4df9bb2b619260c414184027",
-    (6, "jw"): "17e56d4290fa441dad53614c7210ea9bb9343cf0637ba2febf6f50b34cfb866c",
-    (6, "parity"): "f79914a6900b3b3e0d429a2d9ad82484f3788ed90cc7c3f06e3ca7012811f26b",
-    (7, "jw"): "f57df19c8d66115350a9e49f078a65922349d43078c305d726997bb4165f9f98",
-    (7, "parity"): "988f937358f00c644259098264145da743d8480f42ea68487e94726790e84424",
-    (10, "jw"): "0b642133cd91bf2d53dd64d51b52cb592e8d62592ed8a3322617dc227c0161a7",
-    (10, "parity"): "acfae6668b3787a29463f2610b33334383b73e6ebc2a0018466e27800707d08a",
-    (18, "jw"): "db3239ca5dbaca34244890e23e398d6de8d52fb1a2a2de73d5d9d66c8302df59",
-    (18, "parity"): "dd9964f27d9233d69265ab4f76bd47119abfc9eb94c8fe6458a4448ae4f05dd1",
+    (3, "jw"): "9bef9c9e1b3c9c723b696178c4a64b5437e0987300c4b6e0a21498a0f11e1405",
+    (3, "parity"): "128311ee9744f02477ffb23d8e65c660bf54abdcc68040a27c49ba03e82ecc5a",
+    (4, "jw"): "2cd966b13971f385418f30564456528af0c9504dc8c621a720e7bf11808ceba6",
+    (4, "parity"): "ae05d5266719767350de7421dda21bc98a79b6b904fe4b5650f912b24a2e8ced",
+    (6, "jw"): "4ac24eeea7f4a578c29b334ebe6a6deea597d1200ae0d1af3f3a9619d5e0a9c0",
+    (6, "parity"): "7d5c257513daedf59d68f9ca0162a740edc1c9c9e13cfdd07843905c3c7162cf",
+    (7, "jw"): "219bb5a9ad41c09dc442ee9fea88e65ea3c9e3f7b2a8b53cea73ae7cd6f87e1b",
+    (7, "parity"): "1196b86d828a41ce2d5ded8b1d3b63a846547d6f826fc2029dbc239264bd49a4",
+    (10, "jw"): "7d2b4efc100cfea4f3c328dcce75eeb40aa9cd1c22eb8f5c6efaacb9f7985a8d",
+    (10, "parity"): "31c394474e6c9e66b2d131c77c12a23950e8e25f740480b39b2c0ea6c300c373",
+    (18, "jw"): "ec1e7a900bbd7a08a8a3e14180316cf634800162e5c7b85ab63dae0de979ad47",
+    (18, "parity"): "18c0ec086ee0eaff73b98400f2c3b006cc456c6eae37619174f2ec6029ec80d3",
 }
 
 # the same schedules in format version 1, written by ``v1_chunks``
@@ -288,14 +288,14 @@ V1_SCHEDULE_SHA256 = {
     (3, "parity"): "442f462f8bc2f881e63165e18e9b0d3ba8a1bbb836af0c7bbbc6ddbb58e1c081",
     (4, "jw"): "defbfe923d452694dce5c3ed9c5227a8a37b87dd0b3c0dc80560f18951efa72d",
     (4, "parity"): "6ec81fd94e5901642ae3522ffa61020e3cc1ae51c3038f450d8d75ff7785e086",
-    (6, "jw"): "d5af5bbcfb0841f008375eeb78c7cc6acb723983d055b459e89d4c25125daa85",
-    (6, "parity"): "17c4e381577b1e76a28b70ada2d4fcf0702ad3a5c6e1e1a64e80831faeeb472b",
-    (7, "jw"): "af9df6aa4f8ccf48ab21a8dcfcd421f857bade13b96cb047dba0c80536898d4e",
-    (7, "parity"): "15f81a092d7e22817b8eb3625450dcf87ef595b1d6062d4dcbd99d400278d51c",
-    (10, "jw"): "c017184cbc20c8996acbb08cd8615ecc9389f228daa5f76d7081909760be9859",
-    (10, "parity"): "558e2f25aadf037b15650363893db0d2a099f1bd3aa88c7adc7e1a36b3951bf1",
-    (18, "jw"): "2cb3c6f3bb894be9250c8036deed982268f45afe39efe656b9d9bda07ac7293d",
-    (18, "parity"): "b5776abc4df7217776b73710a8f2bddfdd815ca4d56c388007b777eec1070287",
+    (6, "jw"): "5ecee31b2025806bd033deec0b84259e7de5188fe575a48b0d63b1002d59bfa0",
+    (6, "parity"): "d8fdda6da80cdcd6ae227d1f6ab6285d1ceb891102691fa76433c2d9ff48e9a8",
+    (7, "jw"): "3d72c490ee33ed0902842e6b6f5d2247849a61dbdb21047cad48da4335d477f7",
+    (7, "parity"): "b31f75216e9b03bf36004d748493f159edc2da038cabe9569f956c2e2ea6c7a9",
+    (10, "jw"): "c5db0678193e3fca2bc4c1d0cbd02ae5e99574bfd0481d0ccc95051b6272b614",
+    (10, "parity"): "33491cccb22a44304532fed965e064dbfa5c4c72768eb6d10e238120b80b8495",
+    (18, "jw"): "8af0bad7404056aeb9e66c0ca60e768f444268b4410a4ac8867bc65b92e63543",
+    (18, "parity"): "7c933fed1123a39a0435bf4143722431b95dfe5856df705571ab34f296beefe8",
 }
 
 
@@ -355,9 +355,10 @@ def v1_chunks(schedule):
 
 
 def expand_to_v1(data: dict) -> dict:
-    """A document of format 2, 3 or 4 (one layout; 3 has the adjacent-pair
-    circuits, 4 the rounds fixed at the middle label) in version-1 shape: each gate index replaced by
-    its ``{name, qubits}`` plus the name's matrix, if it has one."""
+    """A document of format 2, 3, 4 or 5 (one layout; 3 has the adjacent-pair
+    circuits, 4 the rounds fixed at the middle label, 5 the balanced layouts)
+    in version-1 shape: each gate index replaced by its ``{name, qubits}``
+    plus the name's matrix, if it has one."""
     defs, matrices = data.pop("gate_defs"), data.pop("gate_matrices")
     gates = [dict(d, matrix=matrices[d["name"]]) if d["name"] in matrices else d
              for d in defs]
@@ -454,7 +455,7 @@ def corrupt(data: dict, kind: str) -> None:
     ("index_to_another_gate", "].gates[0]: "),
     ("gate_def_shifted", "schedule.gate_defs["),
     ("matrix_perturbed", "schedule.gate_matrices.FSWAP3[9][0]: "),
-    ("version_1", "version: file has 1, expected 4"),
+    ("version_1", "version: file has 1, expected 5"),
 ])
 def test_verify_out_rejects_corrupt_v2_file(tmp_path, capsys, kind, where):
     path = str(tmp_path / "sched.json")
@@ -475,7 +476,7 @@ def test_verify_out_rejects_corrupt_v2_file(tmp_path, capsys, kind, where):
     assert problems and all(where in p for p in problems), problems
     if kind == "version_1":
         # a file in another format is reported by its header alone
-        assert problems == ["version: file has 1, expected 4"]
+        assert problems == ["version: file has 1, expected 5"]
 
 
 def test_schedule_matrices_serialized_as_pairs():
@@ -573,7 +574,7 @@ def reference_chunks(schedule):
         })
     names = {name for name, _ in gate_index}
     yield "]," + _v1_object({
-        "version": _v1_dumps(4),
+        "version": _v1_dumps(5),
         "n_orbitals": _v1_dumps(schedule.n),
         "mapping": _v1_dumps(schedule.mapping),
         "plane_order": _v1_dumps(schedule.universe.pi),

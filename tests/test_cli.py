@@ -74,6 +74,20 @@ def test_stats_depth_at_32_orbitals_is_within_the_paper_bound(capsys, mapping):
     assert int(parse_stats(out)["depth_max"]) <= 24
 
 
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+@pytest.mark.parametrize("n", [6, 10, 18, 32])
+def test_stats_depth_is_one_layer_above_its_lower_bound(capsys, n, mapping):
+    """The pair (0, n-1) needs ceil((n-2)/2) swap layers and then its
+    rotation, 2 layers under jw and 1 under parity; at these sizes the
+    deepest clique takes one layer more."""
+    code, out = run(capsys, "stats", "--orbitals", str(n), "--mapping", mapping)
+    assert code == 0
+    stats = parse_stats(out)
+    bound = -(-(n - 2) // 2) + (2 if mapping == "jw" else 1)
+    assert int(stats["depth_lower_bound"]) == bound
+    assert int(stats["depth_max"]) - bound == 1
+
+
 def test_verify_passes(capsys):
     for n in ("3", "6"):
         code, out = run(capsys, "verify", "--orbitals", n)

@@ -1,14 +1,19 @@
-"""Position vectors and odd-even sorting networks."""
+"""Position vectors, adjacent-pair layouts and odd-even sorting networks."""
 
 import itertools
 import random
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planesched.swapnet import (
     UNUSED,
     SwapLayer,
     SwapNetwork,
+    _balance,
     adjacent_target,
     odd_even_sort,
     position_vector,
@@ -122,9 +127,10 @@ def test_all_cliques_sort_within_block_depth():
                     assert net.permutation[op.p] == 2 * len(hops) + j
 
 
-def reference_odd_even_sort(p):
-    """The first implementation: a key call per compare and a full sortedness
-    scan after every pass."""
+def reference_odd_even_sort(p, first):
+    """The first implementation, its first pass on the ``first`` parity
+    ("odd" or "even"): a key call per compare and a full sortedness scan
+    after every pass."""
 
     def key(value):
         return value if value != UNUSED else 1 << 30
@@ -134,8 +140,9 @@ def reference_odd_even_sort(p):
     slot_of = list(range(n))
     mode_at = list(range(n))
     layers = []
+    second = "even" if first == "odd" else "odd"
     for pass_idx in range(n):
-        parity = "odd" if pass_idx % 2 == 0 else "even"
+        parity = first if pass_idx % 2 == 0 else second
         start = 1 if parity == "odd" else 0
         swaps = []
         for l in range(start, n - 1, 2):
@@ -152,10 +159,17 @@ def reference_odd_even_sort(p):
     return SwapNetwork(n, tuple(layers), tuple(slot_of))
 
 
+def assert_sort_is_the_shallower_reference(p):
+    """``odd_even_sort(p)`` is the reference network from one start, and the
+    shallower one: the odd start on a tie."""
+    odd, even = reference_odd_even_sort(p, "odd"), reference_odd_even_sort(p, "even")
+    assert odd_even_sort(p) == (even if even.depth < odd.depth else odd), p
+
+
 def test_sort_matches_reference_on_every_small_permutation():
     for n in range(8):
         for p in itertools.permutations(range(n)):
-            assert odd_even_sort(p) == reference_odd_even_sort(p), p
+            assert_sort_is_the_shallower_reference(p)
 
 
 def test_sort_matches_reference_on_random_vectors_with_unused():
@@ -165,7 +179,19 @@ def test_sort_matches_reference_on_random_vectors_with_unused():
             ranks = list(range(rng.randint(0, n)))
             p = ranks + [UNUSED] * (n - len(ranks))
             rng.shuffle(p)
-            assert odd_even_sort(p) == reference_odd_even_sort(p), p
+            assert_sort_is_the_shallower_reference(p)
+
+
+def test_even_start_saves_a_layer():
+    # mode 3 travels three slots left and its first compare, (2, 3), is
+    # even: the odd start leaves it waiting a pass
+    p = (1, 3, 2, 0)
+    assert reference_odd_even_sort(p, "odd").depth == 4
+    net = odd_even_sort(p)
+    assert net == reference_odd_even_sort(p, "even")
+    assert net.depth == 3
+    assert [layer.parity for layer in net.layers] == ["even", "odd", "even"]
+    assert apply_network(p, net) == [0, 1, 2, 3]
 
 
 def test_adjacent_target_circle_round():
@@ -185,6 +211,18 @@ def test_adjacent_target_numbers_and_unused_modes_keep_their_place():
     assert adjacent_target([HoppingOp(0, 3, UP), HoppingOp(1, 1, UP)], 4) == (1, 0, 3, 2)
     # a pair that is already adjacent stays where it is
     assert adjacent_target([HoppingOp(1, 2, DOWN)], 4) == (0, 1, 2, 3)
+
+
+def test_balance_trades_only_nested_neighbours():
+    # mode 3 lies inside the pair (0, 5): behind the pair the three modes
+    # travel 0, 4 and 1 slots, in front of it 3, 1 and 3
+    order = [(0, 5), (3,)]
+    _balance(order)
+    assert order == [(3,), (0, 5)]
+    # modes 2 and 0 would travel less traded, but neither lies inside the other
+    order = [(2,), (0,), (1,)]
+    _balance(order)
+    assert order == [(2,), (0,), (1,)]
 
 
 def test_adjacent_target_rejects_bad_blocks():
@@ -225,3 +263,80 @@ def test_round_blocks_are_half_the_line_deep(n):
     bound = -(-(n - 2) // 2) + 2
     for ops in sorted(blocks):
         assert odd_even_sort(adjacent_target(ops, n)).depth <= bound, (n, ops)
+
+
+def reference_adjacent_target_v4(ops, n):
+    """Format 4's layout: the units sorted by (key, width), each run of equal
+    keys placed 1st, 3rd, ... left to right and 2nd, 4th, ... right to left,
+    with no balancing."""
+    used = {mode for op in ops for mode in (op.p, op.q)}
+    units = [(op.p + op.q, op.q - op.p, (op.p,) if op.is_number else (op.p, op.q))
+             for op in ops]
+    units += [(2 * mode, 0, (mode,)) for mode in range(n) if mode not in used]
+    order = []
+    for _, run in groupby(sorted(units), key=itemgetter(0)):
+        run = list(run)
+        order += [members for _, _, members in run[0::2] + run[1::2][::-1]]
+    target = [UNUSED] * n
+    for slot, mode in enumerate(mode for members in order for mode in members):
+        target[mode] = slot
+    return tuple(target)
+
+
+def distinct_blocks(n):
+    return sorted({clique.ops_for_spin(spin)
+                   for clique in build_universe(n).cliques for spin in (UP, DOWN)})
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_balancing_never_costs_a_swap_or_a_layer(n):
+    """Against format 4's layout, every distinct block sorts with the same
+    swaps and no more layers."""
+    for ops in distinct_blocks(n):
+        net = odd_even_sort(adjacent_target(ops, n))
+        ref = odd_even_sort(reference_adjacent_target_v4(ops, n))
+        assert net.swap_count == ref.swap_count, (n, ops)
+        assert net.depth <= ref.depth, (n, ops)
+
+
+@st.composite
+def disjoint_blocks(draw):
+    """A block size n <= 24 and index-disjoint operators on it: hopping
+    pairs and number operators, in any order."""
+    n = draw(st.integers(1, 24), label="n")
+    modes = draw(st.permutations(range(n)), label="modes")
+    pairs = draw(st.integers(0, n // 2), label="pairs")
+    numbers = draw(st.integers(0, n - 2 * pairs), label="numbers")
+    ops = [HoppingOp(min(modes[2 * k], modes[2 * k + 1]), max(modes[2 * k], modes[2 * k + 1]), UP)
+           for k in range(pairs)]
+    ops += [HoppingOp(p, p, UP) for p in modes[2 * pairs:2 * pairs + numbers]]
+    return n, draw(st.permutations(ops), label="ops")
+
+
+@settings(max_examples=300, deadline=None)
+@given(disjoint_blocks())
+def test_any_disjoint_block_meets_on_adjacent_slots_with_format_4s_swaps(block):
+    n, ops = block
+    target = adjacent_target(ops, n)
+    assert sorted(target) == list(range(n))
+    for op in ops:
+        if not op.is_number:
+            assert target[op.q] == target[op.p] + 1, op
+    assert (odd_even_sort(target).swap_count
+            == odd_even_sort(reference_adjacent_target_v4(ops, n)).swap_count)
+
+
+@pytest.mark.parametrize("n", [16, 18, 24, 32, 48])
+def test_every_block_sorts_in_half_the_line(n):
+    """At these sizes every distinct spin block of every family, anchor
+    groups included, sorts in at most n / 2 layers."""
+    assert max(odd_even_sort(adjacent_target(ops, n)).depth for ops in distinct_blocks(n)) <= n // 2
+
+
+@pytest.mark.parametrize("n", [7, 25, 26, 36])
+def test_every_block_sorts_in_half_the_line_plus_one(n):
+    """An odd size, the prime-power orders 25 and 27 and the truncated
+    order 37: every distinct spin block sorts in at most ceil(n / 2) + 1
+    layers."""
+    bound = -(-n // 2) + 1
+    assert max(odd_even_sort(adjacent_target(ops, n)).depth for ops in distinct_blocks(n)) <= bound
