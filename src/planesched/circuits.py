@@ -175,7 +175,8 @@ class DecodeTable(namedtuple("DecodeTable", ["qubits", "values"])):
 class MeasCircuit(namedtuple("MeasCircuit", ["gates", "depth", "decode", "permutations"])):
     """One clique's circuit: the ``gates`` tuple, its ``depth``, a
     ``DecodeTable`` per clique operator (``decode``) and, per spin, the mode
-    permutation its swap network realizes (``permutations``)."""
+    permutation its swap network realizes (``permutations``), kept in
+    memory but not written: the schedule file's swap gates replay it."""
 
     __slots__ = ()
 
@@ -331,7 +332,7 @@ def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
     return MeasCircuit(tuple(gates), depth, decode, {UP: up.permutation, DOWN: down.permutation})
 
 
-SCHEDULE_VERSION = 5
+SCHEDULE_VERSION = 6
 
 # only non-standard gate matrices go into the schedule file
 _SERIALIZED_MATRICES = {"FSWAP2", "FSWAP3", "FSWAP_EDGE"}
@@ -440,12 +441,14 @@ def _schedule_chunks(schedule: Schedule) -> Iterator[str]:
     indices into ``gate_defs``, one ``{name, qubits}`` per distinct gate in
     order of first use; ``gate_matrices`` holds each non-standard gate name's
     matrix once.  Both tables sort after ``cliques``, so they are written
-    last, once every gate has been seen.
+    last, once every gate has been seen.  A record's ``decode`` lists
+    the operators in ``mc.ops`` order; ``circ.permutations`` is not written,
+    since replaying each swap gate on its top two qubits gives it.
 
     Texts are made once and then looked up: a gate's index per gate object
     (emission shares one per ``(name, qubits)``; an object not seen before
     gets the index of its ``(name, qubits)``), and the text of each operator,
-    decode record, family and permutation.
+    decode record and family.
     """
     gate_index: dict[tuple[str, tuple[int, ...]], int] = {}  # in order of first use
     gate_text = _Texts(lambda g: str(gate_index.setdefault((g.name, g.qubits), len(gate_index))))
@@ -455,20 +458,15 @@ def _schedule_chunks(schedule: Schedule) -> Iterator[str]:
     # (op, table) -> the op's decode record
     record_text = _Texts(lambda item: f'{{"op":{op_text[item[0]]},{table_text[item[1]]}}}')
     family_text = _Texts(_dumps)
-    perm_text = _Texts(_dumps)
 
     # "cliques" sorts before every other top-level key
     yield '{"cliques":['
     for i, (mc, circ) in enumerate(zip(schedule.universe.cliques, schedule.circuits)):
-        ops = mc.ops
         decode = ",".join(map(record_text.__getitem__,
-                              zip(ops, map(circ.decode.__getitem__, ops))))
+                              zip(mc.ops, map(circ.decode.__getitem__, mc.ops))))
         gates = ",".join(map(gate_text.__getitem__, circ.gates))
-        perms = circ.permutations
         yield (f'{"," if i else ""}{{"decode":[{decode}],"depth":{circ.depth:d},'
                f'"family":{family_text[mc.family]},"gates":[{gates}],"id":{mc.id:d},'
-               f'"ops":[{",".join(map(op_text.__getitem__, ops))}],'
-               f'"permutation":{{"down":{perm_text[perms[DOWN]]},"up":{perm_text[perms[UP]]}}},'
                f'"source":{_dumps(mc.source)}}}')
     gate_defs = _dumps([{"name": name, "qubits": qubits} for name, qubits in gate_index])
     names = {name for name, _ in gate_index} & _SERIALIZED_MATRICES

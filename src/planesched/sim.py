@@ -584,9 +584,10 @@ def estimate_energy_sampled(
         circuit = schedule.circuits[cid]
         stream = np.random.SeedSequence(seed, spawn_key=(cid,))
         counts = sample_shots(state, circuit, shots, stream, nq)
-        freqs = counts / shots
-        composite = np.zeros(1 << nq)
-        for term, value in _term_values(terms, circuit, vector):
+        drawn = np.flatnonzero(counts)  # the composite is needed only here
+        freqs = counts[drawn] / shots
+        composite = np.zeros(len(drawn))
+        for term, value in _term_values(terms, circuit, lambda t: vector(t)[drawn]):
             composite += coeffs[term] * value
         mean = float(freqs @ composite)
         second = float(freqs @ composite**2)

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import math
+import re
 from functools import cache, partial, reduce
 from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,18 +270,18 @@ def test_verify_schedule_dict_reports_header_mismatch():
 
 # schedule files stay byte-identical for a fixed (orbitals, mapping, version)
 SCHEDULE_SHA256 = {
-    (3, "jw"): "9bef9c9e1b3c9c723b696178c4a64b5437e0987300c4b6e0a21498a0f11e1405",
-    (3, "parity"): "128311ee9744f02477ffb23d8e65c660bf54abdcc68040a27c49ba03e82ecc5a",
-    (4, "jw"): "2cd966b13971f385418f30564456528af0c9504dc8c621a720e7bf11808ceba6",
-    (4, "parity"): "ae05d5266719767350de7421dda21bc98a79b6b904fe4b5650f912b24a2e8ced",
-    (6, "jw"): "4ac24eeea7f4a578c29b334ebe6a6deea597d1200ae0d1af3f3a9619d5e0a9c0",
-    (6, "parity"): "7d5c257513daedf59d68f9ca0162a740edc1c9c9e13cfdd07843905c3c7162cf",
-    (7, "jw"): "219bb5a9ad41c09dc442ee9fea88e65ea3c9e3f7b2a8b53cea73ae7cd6f87e1b",
-    (7, "parity"): "1196b86d828a41ce2d5ded8b1d3b63a846547d6f826fc2029dbc239264bd49a4",
-    (10, "jw"): "7d2b4efc100cfea4f3c328dcce75eeb40aa9cd1c22eb8f5c6efaacb9f7985a8d",
-    (10, "parity"): "31c394474e6c9e66b2d131c77c12a23950e8e25f740480b39b2c0ea6c300c373",
-    (18, "jw"): "ec1e7a900bbd7a08a8a3e14180316cf634800162e5c7b85ab63dae0de979ad47",
-    (18, "parity"): "18c0ec086ee0eaff73b98400f2c3b006cc456c6eae37619174f2ec6029ec80d3",
+    (3, "jw"): "f50746637cc892d738dc15e2f5050ccf41cef9653edd7b9032a8e8c6053be8f4",
+    (3, "parity"): "9389b80a5bb4af9c6c1209068b3d8d274f4c190117d86f4a674df614eeb31e90",
+    (4, "jw"): "982d508aa4e0738e8118752941f0a7d6e306d1227ad4e631311d967099869430",
+    (4, "parity"): "221feecad0db14102b149585b9dbb5626007ead09bae3f2cb670ec19b5af833a",
+    (6, "jw"): "6743b6fdf3522c07ddfbd0f9f211915621bc35b68ec73ac8845f131568d900ca",
+    (6, "parity"): "0d9efd6f31a81abdf9b38603bfa585125aec5d6fba68fad0a194189a1434277c",
+    (7, "jw"): "aa2a28cce470217662d7aabc6fad44ccb5f187ebec5c1daecdf8339cd7fa19d1",
+    (7, "parity"): "43357c384e762828d9c2e65991892e62432941157af4e588eee404cf43eef402",
+    (10, "jw"): "f1b81ef65663be447c10b9785a81857068e001c5991398edce29d7772e1bc83f",
+    (10, "parity"): "d0cab0acc8925b94dc85527d50a9553fd3b5eed4362ed25b6ff01538f3ade89b",
+    (18, "jw"): "a46b7ab7e9b38aec8056c2d3afe159be0499e31a9f646179601610f44f583dc3",
+    (18, "parity"): "44d742623dd4f01d7d3d0dc6c9b1db9744d73482793cae040c53fed31baa28d7",
 }
 
 # the same schedules in format version 1, written by ``v1_chunks``
@@ -354,11 +356,42 @@ def v1_chunks(schedule):
     yield "]," + tail[1:] + "\n"
 
 
+def replay_permutations(gates: list[dict], n: int) -> dict[str, list[int]]:
+    """Each spin block's mode permutation (mode -> final slot), replayed from
+    the identity: a fermionic swap gate swaps the modes on its top two
+    qubits, less N in the down block."""
+    lines = {"up": list(range(n)), "down": list(range(n))}  # slot -> mode
+    for gate in gates:
+        if gate["name"] in ("FSWAP2", "FSWAP3", "FSWAP_EDGE"):
+            top = gate["qubits"][-2]
+            line, l = (lines["up"], top) if top < n else (lines["down"], top - n)
+            line[l], line[l + 1] = line[l + 1], line[l]
+    perms = {}
+    for spin, line in lines.items():
+        perms[spin] = [0] * n
+        for slot, mode in enumerate(line):
+            perms[spin][mode] = slot
+    return perms
+
+
+def restore_v5(data: dict) -> dict:
+    """A format-6 document with each clique's ``ops`` and ``permutation`` put
+    back, as format 5 wrote them: the ops are the decode records' ops in
+    order, and the permutation is replayed from the gates."""
+    defs = data["gate_defs"]
+    for clique in data["cliques"]:
+        clique["ops"] = [record["op"] for record in clique["decode"]]
+        clique["permutation"] = replay_permutations(
+            [defs[i] for i in clique["gates"]], data["n_orbitals"])
+    return data
+
+
 def expand_to_v1(data: dict) -> dict:
-    """A document of format 2, 3, 4 or 5 (one layout; 3 has the adjacent-pair
-    circuits, 4 the rounds fixed at the middle label, 5 the balanced layouts)
-    in version-1 shape: each gate index replaced by its ``{name, qubits}``
-    plus the name's matrix, if it has one."""
+    """A document of format 6 (the layout of formats 2 to 5 less each
+    clique's ``ops`` and ``permutation``) in version-1 shape: those two put
+    back (``restore_v5``) and each gate index replaced by its
+    ``{name, qubits}`` plus the name's matrix, if it has one."""
+    restore_v5(data)
     defs, matrices = data.pop("gate_defs"), data.pop("gate_matrices")
     gates = [dict(d, matrix=matrices[d["name"]]) if d["name"] in matrices else d
              for d in defs]
@@ -394,6 +427,18 @@ def test_v2_expands_to_the_v1_reference(n, mapping):
         assert digest.hexdigest() == V1_SCHEDULE_SHA256[n, mapping]
 
 
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+def test_swap_gates_replay_each_circuits_permutations(mapping):
+    """Format 6 writes no permutation: the file's swap gates give it back."""
+    for n in range(2, 13):
+        schedule = emit_schedule(build_universe(n), mapping)
+        data = schedule_to_dict(schedule)
+        for record, circ in zip(data["cliques"], schedule.circuits, strict=True):
+            perms = replay_permutations([data["gate_defs"][i] for i in record["gates"]], n)
+            assert perms == {"up": list(circ.permutations[UP]),
+                             "down": list(circ.permutations[DOWN])}, (n, record["id"])
+
+
 def test_shared_emission_caches_keep_each_schedule_pinned():
     # networks, gates and rotation layers are shared between cliques and
     # between calls; interleaved sizes and mappings must not leak into each other
@@ -411,6 +456,25 @@ def test_shared_emission_caches_keep_each_schedule_pinned():
     assert map_fswap(2, DOWN, "parity", 6) is map_fswap(2, DOWN, "parity", 6)
     assert _rotation(UP, (0,), "jw", 4)[1][0] is _rotation(UP, (0, 2), "jw", 4)[1][0]
     assert _rotation(UP, (0,), "parity", 4)[0][0] is _rotation(UP, (0,), "jw", 4)[1][0]
+
+
+def readme_schedule_sizes() -> dict[tuple[int, str], int]:
+    """The README's schedule sizes table: bytes by (N, mapping)."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text[text.index("Sizes in bytes"):].split("\n\n")[1]
+    sizes = {}
+    for n, jw, parity in re.findall(r"^\| (\d+) +\| ([\d,]+) +\| ([\d,]+) +\|$", table, re.M):
+        sizes[int(n), "jw"] = int(jw.replace(",", ""))
+        sizes[int(n), "parity"] = int(parity.replace(",", ""))
+    return sizes
+
+
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+@pytest.mark.parametrize("n", [10, 18])
+def test_readme_schedule_sizes_match_a_fresh_emission(n, mapping):
+    """The rows emitted here are checked; larger rows are regenerated by hand."""
+    schedule = emit_schedule(build_universe(n), mapping)
+    assert readme_schedule_sizes()[n, mapping] == len(schedule_json(schedule))
 
 
 def test_written_file_equals_schedule_json(tmp_path):
@@ -448,6 +512,14 @@ def corrupt(data: dict, kind: str) -> None:
         data["gate_matrices"]["FSWAP3"][9][0] += 1e-9
     elif kind == "version_1":
         expand_to_v1(data)
+    elif kind == "version_5":
+        restore_v5(data)["version"] = 5
+
+
+# the format-5 file of N=4, parity, which ``restore_v5`` gives back
+V5_SCHEDULE_SHA256 = {
+    (4, "parity"): "ae05d5266719767350de7421dda21bc98a79b6b904fe4b5650f912b24a2e8ced",
+}
 
 
 @pytest.mark.parametrize("kind, where", [
@@ -455,7 +527,8 @@ def corrupt(data: dict, kind: str) -> None:
     ("index_to_another_gate", "].gates[0]: "),
     ("gate_def_shifted", "schedule.gate_defs["),
     ("matrix_perturbed", "schedule.gate_matrices.FSWAP3[9][0]: "),
-    ("version_1", "version: file has 1, expected 5"),
+    ("version_1", "version: file has 1, expected 6"),
+    ("version_5", "version: file has 5, expected 6"),
 ])
 def test_verify_out_rejects_corrupt_v2_file(tmp_path, capsys, kind, where):
     path = str(tmp_path / "sched.json")
@@ -466,17 +539,18 @@ def test_verify_out_rejects_corrupt_v2_file(tmp_path, capsys, kind, where):
     text = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
     with open(path, "w") as f:
         f.write(text)
-    if kind == "version_1":
-        # byte for byte the file the version-1 writer made
-        assert hashlib.sha256(text.encode()).hexdigest() == V1_SCHEDULE_SHA256[4, "parity"]
+    pins = {"version_1": V1_SCHEDULE_SHA256, "version_5": V5_SCHEDULE_SHA256}
+    if kind in pins:
+        # byte for byte the file that format's writer made
+        assert hashlib.sha256(text.encode()).hexdigest() == pins[kind][4, "parity"]
     capsys.readouterr()
     assert main(["verify", *args]) == 1
     problems = [line.split(": ", 1)[1] for line in capsys.readouterr().out.splitlines()
                 if line.startswith("schedule_file_problem: ")]
     assert problems and all(where in p for p in problems), problems
-    if kind == "version_1":
+    if kind in pins:
         # a file in another format is reported by its header alone
-        assert problems == ["version: file has 1, expected 5"]
+        assert problems == [where]
 
 
 def test_schedule_matrices_serialized_as_pairs():
@@ -565,16 +639,13 @@ def reference_chunks(schedule):
             "id": _v1_dumps(mc.id),
             "family": _v1_dumps(mc.family),
             "source": _v1_dumps(mc.source),
-            "ops": "[" + ",".join(map(op_text, mc.ops)) + "]",
             "gates": _v1_dumps(gates),
             "decode": "[" + decode + "]",
             "depth": _v1_dumps(circ.depth),
-            "permutation": _v1_dumps({"up": circ.permutations[UP],
-                                      "down": circ.permutations[DOWN]}),
         })
     names = {name for name, _ in gate_index}
     yield "]," + _v1_object({
-        "version": _v1_dumps(5),
+        "version": _v1_dumps(6),
         "n_orbitals": _v1_dumps(schedule.n),
         "mapping": _v1_dumps(schedule.mapping),
         "plane_order": _v1_dumps(schedule.universe.pi),

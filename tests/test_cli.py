@@ -106,7 +106,7 @@ def test_verify_detects_corrupted_schedule(tmp_path, capsys):
     assert code == 0
     assert "schedule_file_check: pass" in out
     data = json.loads(path.read_text())
-    data["cliques"][5]["ops"][0][0] = 99
+    data["cliques"][5]["decode"][0]["op"][0] = 99
     path.write_text(json.dumps(data))
     code, out = run(capsys, "verify", "--orbitals", "3", "--out", str(path))
     assert code == 1
