@@ -72,7 +72,9 @@ from itertools import zip_longest
 from . import pauli
 from .graphcheck import lower_bound
 from .swapnet import SwapNetwork, adjacent_target, odd_even_sort
-from .universe import SPIN_NAMES, UP, DOWN, HoppingOp, MeasurementClique, Universe
+from .universe import (
+    SPIN_NAMES, UP, DOWN, HoppingOp, MeasurementClique, Universe, construction_total,
+)
 
 
 class SignMatrix(namedtuple("SignMatrix", ["scale", "signs"])):
@@ -332,7 +334,7 @@ def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
     return MeasCircuit(tuple(gates), depth, decode, {UP: up.permutation, DOWN: down.permutation})
 
 
-SCHEDULE_VERSION = 6
+SCHEDULE_VERSION = 7
 
 # only non-standard gate matrices go into the schedule file
 _SERIALIZED_MATRICES = {"FSWAP2", "FSWAP3", "FSWAP_EDGE"}
@@ -363,6 +365,7 @@ class Schedule:
             "families": self.universe.family_counts(),
             "cliques_total": len(self.circuits),
             "closed_form_total": 2 * n * n - 2 * n + 1,
+            "construction_total": construction_total(n),
             "cover_lower_bound": lower_bound(n),
             "depth_max": max(depths),
             # some clique holds the pair (0, n-1): nearest-neighbour swaps

@@ -12,13 +12,17 @@ operator groups suffice to estimate every required expectation value:
     same_spin   the plane anchor groups, instantiated for both spins at once
 
 With N even and N - 1 a prime or an odd prime power the family sizes are
-1, 2(N-1), (N-1)^2 and (N-1)^2, 2N^2 - 2N + 1 in all.
+1, 2(N-1), (N-1)^2 and (N-1)^2, 2N^2 - 2N + 1 in all.  At odd N each
+pairing round also holds the number operator of the label it leaves out,
+which makes ``part`` and ``one_body`` redundant: N(N-1) ``diff_spin``
+groups (rounds i != j) and q^2 ``same_spin`` groups on a plane of order q.
 
 Each group is one up-spin block times one down-spin block.  A block is the
 operators of one spin that one group takes: the number operators, one
-pairing round, or one anchor group's pairs.  ``build_universe`` builds each
-distinct block once and checks its indices are disjoint once, which checks
-every group holding it, since a group holds exactly one block per spin.
+pairing round (with its bye's number operator at odd N), or one anchor
+group's pairs.  ``build_universe`` builds each distinct block once and
+checks its indices are disjoint once, which checks every group holding it,
+since a group holds exactly one block per spin.
 
 ``decompose`` expands the coefficient tensors onto this measurable basis.
 It works on the canonical pairs i = (p, q), p <= q, each read as the factor
@@ -165,13 +169,39 @@ def _check_disjoint_within_spin(block: Block) -> None:
 
 
 def build_universe(n: int) -> Universe:
-    """Assemble all four clique families for n orbitals.
+    """Assemble the clique families for n orbitals.
 
-    The plane order is the smallest prime or odd prime power >= n - 1; when
-    that exceeds n - 1 the anchor groups are truncated to in-range labels
-    but all pi^2 of them are kept, so the closed-form total 2*n^2 - 2*n + 1
-    applies exactly when n - 1 is a prime or an odd prime power and n is
-    even.
+    The plane order q is the smallest prime or odd prime power >= n - 1;
+    when that exceeds n - 1 the anchor groups are truncated to in-range
+    labels but all q^2 of them are kept.  Even n builds all four families,
+    1 + 2(n-1) + (n-1)^2 + q^2 cliques: the closed form 2*n^2 - 2*n + 1
+    when q = n - 1.
+
+    Odd n builds n(n-1) + q^2 cliques and no ``part`` or ``one_body``
+    clique.  Each of the n pairing rounds leaves one label out, its bye, and
+    the round's block also holds the bye's number operator, after its pairs.
+    ``diff_spin`` takes up round i with down round j for i != j only.  Every
+    term still routes.  Same-spin terms are covered by the anchor groups, as
+    at even n.  Each label is the bye of exactly one round.  A cross-spin
+    term (a up, b down), with spins swapped likewise, is held by:
+
+        a, b pairs of different rounds       diff_spin (round(a), round(b))
+        a, b pairs of one round              same_spin: a = b lies on q - 1
+                                             anchors, disjoint a, b meet at
+                                             one off-conic anchor
+        a a pair, b = n_p, p the bye of j    diff_spin (round(a), j) when
+                                             j != round(a); else p is not
+                                             in a, and the anchor where a
+                                             meets tangent(p) holds both
+        n_p, n_r with p != r                 diff_spin (bye p's, bye r's)
+        n_p, n_p                             any anchor on tangent(p)
+
+    Nothing is left over, and no clique is redundant: with p the bye of
+    round j, ``diff_spin`` (i, j) alone holds round i's up pair through p
+    times n_p down (their lines meet at S(p), on the conic), and each anchor
+    group alone holds the products of the pairs whose lines meet there.
+    A bye's number operator is laid out exactly as the unused mode it
+    fills, so it adds a decode table to its clique's circuit and no gate.
 
     A clique's ``ops`` are its two blocks joined: a ``one_body`` clique's
     round before the other spin's numbers, the up block first elsewhere.
@@ -181,13 +211,17 @@ def build_universe(n: int) -> Universe:
     pi = plane_order_at_least(max(2, n - 1))
     rounds = build_rounds(n)
     anchor_groups = build_cover(pi, n)
+    odd = n % 2 == 1
+    if odd:
+        # the labels sum to n(n-1)/2, so the bye is what the round's pairs leave
+        byes = [n * (n - 1) // 2 - sum(p + q for p, q in rnd) for rnd in rounds]
+        rounds = [rnd + ((bye, bye),) for rnd, bye in zip(rounds, byes)]
 
     def block(pairs, spin: int) -> Block:
         ops = tuple([HoppingOp(p, q, spin) for p, q in pairs])
         _check_disjoint_within_spin(ops)
         return ops
 
-    numbers = [block([(p, p) for p in range(n)], spin) for spin in (UP, DOWN)]
     paired = [[block(rnd, spin) for rnd in rounds] for spin in (UP, DOWN)]
     anchored = [[block(g.members, spin) for g in anchor_groups] for spin in (UP, DOWN)]
     cliques: list[MeasurementClique] = []
@@ -195,16 +229,28 @@ def build_universe(n: int) -> Universe:
     def add(family: str, first: Block, second: Block, source: tuple | None) -> None:
         cliques.append(MeasurementClique(len(cliques), family, first + second, source))
 
-    add("part", numbers[UP], numbers[DOWN], None)
-    for spin in (UP, DOWN):
-        for i, rnd in enumerate(paired[spin]):
-            add("one_body", rnd, numbers[1 - spin], ("round", spin, i))
+    if not odd:
+        numbers = [block([(p, p) for p in range(n)], spin) for spin in (UP, DOWN)]
+        add("part", numbers[UP], numbers[DOWN], None)
+        for spin in (UP, DOWN):
+            for i, rnd in enumerate(paired[spin]):
+                add("one_body", rnd, numbers[1 - spin], ("round", spin, i))
     for i, up in enumerate(paired[UP]):
         for j, down in enumerate(paired[DOWN]):
-            add("diff_spin", up, down, ("rounds", i, j))
+            if i != j or not odd:
+                add("diff_spin", up, down, ("rounds", i, j))
     for group, up, down in zip(anchor_groups, *anchored):
         add("same_spin", up, down, ("anchor", point_code(group.anchor, pi)))
     return Universe(n, pi, anchor_groups, cliques)
+
+
+def construction_total(n: int) -> int:
+    """The number of cliques ``build_universe(n)`` makes, counted without
+    building them: 1 + 2(n-1) + (n-1)^2 + q^2 at even n, n(n-1) + q^2 at odd n."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    q = plane_order_at_least(max(2, n - 1))
+    return (n * (n - 1) if n % 2 else 1 + 2 * (n - 1) + (n - 1) ** 2) + q * q
 
 
 def route_term(term: TermKey, universe: Universe) -> int:

@@ -160,8 +160,10 @@ def test_diag_layer_shapes():
 
 
 def test_emit_particle_number_clique_is_identity():
-    for n, mapping in [(3, "jw"), (3, "parity")]:
+    # odd N builds no particle-number clique
+    for n, mapping in [(4, "jw"), (4, "parity")]:
         u = build_universe(n)
+        assert u.cliques[0].family == "part"
         circ = emit(u.cliques[0], mapping, n)
         assert circ.gates == ()
         assert circ.depth == 0
@@ -270,30 +272,30 @@ def test_verify_schedule_dict_reports_header_mismatch():
 
 # schedule files stay byte-identical for a fixed (orbitals, mapping, version)
 SCHEDULE_SHA256 = {
-    (3, "jw"): "f50746637cc892d738dc15e2f5050ccf41cef9653edd7b9032a8e8c6053be8f4",
-    (3, "parity"): "9389b80a5bb4af9c6c1209068b3d8d274f4c190117d86f4a674df614eeb31e90",
-    (4, "jw"): "982d508aa4e0738e8118752941f0a7d6e306d1227ad4e631311d967099869430",
-    (4, "parity"): "221feecad0db14102b149585b9dbb5626007ead09bae3f2cb670ec19b5af833a",
-    (6, "jw"): "6743b6fdf3522c07ddfbd0f9f211915621bc35b68ec73ac8845f131568d900ca",
-    (6, "parity"): "0d9efd6f31a81abdf9b38603bfa585125aec5d6fba68fad0a194189a1434277c",
-    (7, "jw"): "aa2a28cce470217662d7aabc6fad44ccb5f187ebec5c1daecdf8339cd7fa19d1",
-    (7, "parity"): "43357c384e762828d9c2e65991892e62432941157af4e588eee404cf43eef402",
-    (10, "jw"): "f1b81ef65663be447c10b9785a81857068e001c5991398edce29d7772e1bc83f",
-    (10, "parity"): "d0cab0acc8925b94dc85527d50a9553fd3b5eed4362ed25b6ff01538f3ade89b",
-    (18, "jw"): "a46b7ab7e9b38aec8056c2d3afe159be0499e31a9f646179601610f44f583dc3",
-    (18, "parity"): "44d742623dd4f01d7d3d0dc6c9b1db9744d73482793cae040c53fed31baa28d7",
+    (3, "jw"): "e03aacb5c48ae09a237809124482ccd23e43491559f1fef60048457f92d4601e",
+    (3, "parity"): "b6cf1223fcb2e57369c6aa809026889c388ad8e3311f358cc40745d5f3671973",
+    (4, "jw"): "64a2cefda32108f21589cebaf44a1e0f0cc82af2bfb80f841913153be260792f",
+    (4, "parity"): "985fa2b9d19506306fa1449bdc7b1307ab4c45bc23b92f50932d91855fe3974b",
+    (6, "jw"): "f3ad1b0a15f53e8dd1dc683558b9bbe3834f944ae16a1aa980045de0a6dc86e6",
+    (6, "parity"): "db0dc660313bb9115b6cfb409907d85b51e3e61c2679c886b052503ab1690f1f",
+    (7, "jw"): "1a88d999a075f8738fdbca2b1430d570fd7b22387b660f9bf008979a68de47f1",
+    (7, "parity"): "9b10e12d5aae611ba7e703b801d2b7298069165fa69602d1ad490c59581e4041",
+    (10, "jw"): "b87e800d868c1c107b6511509481685ba5bf38fbab12f83abb089430676f8b34",
+    (10, "parity"): "5664cd765d2872470c171334f82c21a40648ba767b025ba810cdfdc60a0de531",
+    (18, "jw"): "78054b9d5a4215af5141d7ab7eb8c4098d76a0a8241f5568f051ec798d3cdedc",
+    (18, "parity"): "743f33ff187c54672152c24ca517cd1f591aa7526b14e19f630fe089be6f15a6",
 }
 
 # the same schedules in format version 1, written by ``v1_chunks``
 V1_SCHEDULE_SHA256 = {
-    (3, "jw"): "dd015000c2e4d46ebdefddfce7330a39e27af66d6969a72db7e3131c4b3ba85d",
-    (3, "parity"): "442f462f8bc2f881e63165e18e9b0d3ba8a1bbb836af0c7bbbc6ddbb58e1c081",
+    (3, "jw"): "68b45734e72e5dfc1aed2a573fe704a3d775bbee962e24894716d79941b2a5ff",
+    (3, "parity"): "2ddb0aad8ceff7857382dd523aad34d3b2315a2545982dee272fe844d6453fb9",
     (4, "jw"): "defbfe923d452694dce5c3ed9c5227a8a37b87dd0b3c0dc80560f18951efa72d",
     (4, "parity"): "6ec81fd94e5901642ae3522ffa61020e3cc1ae51c3038f450d8d75ff7785e086",
     (6, "jw"): "5ecee31b2025806bd033deec0b84259e7de5188fe575a48b0d63b1002d59bfa0",
     (6, "parity"): "d8fdda6da80cdcd6ae227d1f6ab6285d1ceb891102691fa76433c2d9ff48e9a8",
-    (7, "jw"): "3d72c490ee33ed0902842e6b6f5d2247849a61dbdb21047cad48da4335d477f7",
-    (7, "parity"): "b31f75216e9b03bf36004d748493f159edc2da038cabe9569f956c2e2ea6c7a9",
+    (7, "jw"): "ae38e338194e294b4f16fc4fcc87095a92d256ae61322c7eebc9cb05ee83938a",
+    (7, "parity"): "9ace963f53c15c50cc8577f94dac79fcf521015d5e602d23821df51e2a71dfcf",
     (10, "jw"): "c5db0678193e3fca2bc4c1d0cbd02ae5e99574bfd0481d0ccc95051b6272b614",
     (10, "parity"): "33491cccb22a44304532fed965e064dbfa5c4c72768eb6d10e238120b80b8495",
     (18, "jw"): "8af0bad7404056aeb9e66c0ca60e768f444268b4410a4ac8867bc65b92e63543",
@@ -375,9 +377,9 @@ def replay_permutations(gates: list[dict], n: int) -> dict[str, list[int]]:
 
 
 def restore_v5(data: dict) -> dict:
-    """A format-6 document with each clique's ``ops`` and ``permutation`` put
-    back, as format 5 wrote them: the ops are the decode records' ops in
-    order, and the permutation is replayed from the gates."""
+    """A format-6 or format-7 document with each clique's ``ops`` and
+    ``permutation`` put back, as format 5 wrote them: the ops are the decode
+    records' ops in order, and the permutation is replayed from the gates."""
     defs = data["gate_defs"]
     for clique in data["cliques"]:
         clique["ops"] = [record["op"] for record in clique["decode"]]
@@ -387,9 +389,9 @@ def restore_v5(data: dict) -> dict:
 
 
 def expand_to_v1(data: dict) -> dict:
-    """A document of format 6 (the layout of formats 2 to 5 less each
-    clique's ``ops`` and ``permutation``) in version-1 shape: those two put
-    back (``restore_v5``) and each gate index replaced by its
+    """A document of format 7 (format 6's layout: that of formats 2 to 5
+    less each clique's ``ops`` and ``permutation``) in version-1 shape:
+    those two put back (``restore_v5``) and each gate index replaced by its
     ``{name, qubits}`` plus the name's matrix, if it has one."""
     restore_v5(data)
     defs, matrices = data.pop("gate_defs"), data.pop("gate_matrices")
@@ -429,7 +431,7 @@ def test_v2_expands_to_the_v1_reference(n, mapping):
 
 @pytest.mark.parametrize("mapping", ["jw", "parity"])
 def test_swap_gates_replay_each_circuits_permutations(mapping):
-    """Format 6 writes no permutation: the file's swap gates give it back."""
+    """Formats 6 and 7 write no permutation: the file's swap gates give it back."""
     for n in range(2, 13):
         schedule = emit_schedule(build_universe(n), mapping)
         data = schedule_to_dict(schedule)
@@ -475,6 +477,33 @@ def test_readme_schedule_sizes_match_a_fresh_emission(n, mapping):
     """The rows emitted here are checked; larger rows are regenerated by hand."""
     schedule = emit_schedule(build_universe(n), mapping)
     assert readme_schedule_sizes()[n, mapping] == len(schedule_json(schedule))
+
+
+def readme_gates_and_depths() -> dict[tuple[int, str], tuple[int, int]]:
+    """The newest jw and parity columns of README's gates/depth table:
+    (gate_count_total, depth_max) by (N, mapping)."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    header, _, *rows = text[text.index("| N  | jw, v2"):].split("\n\n")[0].splitlines()
+    columns = [c.strip() for c in header.strip("|").split("|")]
+    figures = {}
+    for mapping in ("jw", "parity"):
+        newest = max((c for c in columns if c.startswith(f"{mapping}, v")),
+                     key=lambda c: int(c.rsplit("v", 1)[1]))
+        k = columns.index(newest)
+        for row in rows:
+            cells = [c.strip() for c in row.strip("|").split("|")]
+            gates, depth = cells[k].replace(",", "").split(" / ")
+            figures[int(cells[0]), mapping] = int(gates), int(depth)
+    return figures
+
+
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+@pytest.mark.parametrize("n", [6, 7, 10, 18])
+def test_readme_gates_and_depths_match_a_fresh_emission(n, mapping):
+    """The rows emitted here are checked; the N=32 row is regenerated by hand."""
+    stats = emit_schedule(build_universe(n), mapping).stats()
+    assert readme_gates_and_depths()[n, mapping] == (
+        stats["gate_count_total"], stats["depth_max"])
 
 
 def test_written_file_equals_schedule_json(tmp_path):
@@ -527,8 +556,8 @@ V5_SCHEDULE_SHA256 = {
     ("index_to_another_gate", "].gates[0]: "),
     ("gate_def_shifted", "schedule.gate_defs["),
     ("matrix_perturbed", "schedule.gate_matrices.FSWAP3[9][0]: "),
-    ("version_1", "version: file has 1, expected 6"),
-    ("version_5", "version: file has 5, expected 6"),
+    ("version_1", "version: file has 1, expected 7"),
+    ("version_5", "version: file has 5, expected 7"),
 ])
 def test_verify_out_rejects_corrupt_v2_file(tmp_path, capsys, kind, where):
     path = str(tmp_path / "sched.json")
@@ -645,7 +674,7 @@ def reference_chunks(schedule):
         })
     names = {name for name, _ in gate_index}
     yield "]," + _v1_object({
-        "version": _v1_dumps(6),
+        "version": _v1_dumps(7),
         "n_orbitals": _v1_dumps(schedule.n),
         "mapping": _v1_dumps(schedule.mapping),
         "plane_order": _v1_dumps(schedule.universe.pi),

@@ -65,6 +65,21 @@ def test_stats_family_breakdown_n4(capsys):
     assert stats["cliques_total"] == "25"
 
 
+@pytest.mark.parametrize("n, closed_form, construction", [
+    (3, 13, 10), (4, 25, 25), (5, 41, 45), (16, 481, 545),
+])
+def test_stats_and_schedule_print_the_construction_total(tmp_path, capsys, n, closed_form,
+                                                         construction):
+    """``closed_form_total`` stays the paper's 2N^2 - 2N + 1; the
+    construction's own count is the number of cliques built."""
+    for command in (["stats"], ["schedule", "--out", str(tmp_path / "s.json")]):
+        code, out = run(capsys, *command, "--orbitals", str(n))
+        assert code == 0
+        stats = parse_stats(out)
+        assert int(stats["closed_form_total"]) == closed_form
+        assert int(stats["construction_total"]) == int(stats["cliques_total"]) == construction
+
+
 @pytest.mark.parametrize("mapping", ["jw", "parity"])
 def test_stats_depth_at_32_orbitals_is_within_the_paper_bound(capsys, mapping):
     """Each measurement is a depth-O(N) circuit on a line of qubits: at
@@ -256,6 +271,22 @@ def test_estimate_shots_reproducible(tmp_path, capsys):
     assert family_lines == [f"energy_stderr_{f}" for f in FAMILIES]
     family_sum = sum(float(stats[k]) ** 2 for k in family_lines)
     assert abs(family_sum - float(stats["energy_stderr"]) ** 2) < 1e-9
+
+
+def test_estimate_prints_every_family_at_odd_n(tmp_path, capsys):
+    """Odd N builds no ``part`` or ``one_body`` clique; their lines stay and
+    read 0, exact and sampled."""
+    path = tmp_path / "ham.json"
+    random_hamiltonian(3, seed=3).save(str(path))
+    base = ("estimate", "--hamiltonian", str(path), "--state", "random:2")
+    _, exact = run(capsys, *base)
+    code, sampled = run(capsys, *base, "--shots", "100", "--seed", "4")
+    assert code == 0
+    for out, prefix in ((exact, "energy_"), (sampled, "energy_stderr_")):
+        stats = parse_stats(out)
+        values = {f: stats[prefix + f] for f in FAMILIES}
+        assert values["part"] == values["one_body"] == "0.000000000000"
+        assert float(values["diff_spin"]) != 0 and float(values["same_spin"]) != 0
 
 
 def test_estimate_too_large_exact(tmp_path, capsys):

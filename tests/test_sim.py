@@ -425,7 +425,7 @@ def test_no_clique_shares_its_sample_stream_under_another_seed(monkeypatch):
     draws from ``default_rng(s)``, the stream of a ``random:<s>`` state.
     Every clique is measured with one circuit here, so equal streams would
     give equal counts."""
-    n = 3
+    n = 4
     schedule = emit_schedule(build_universe(n), "jw")
     psi = occupation_to_qubit_state(random_occupation_state(2 * n, seed=4), "jw", 2 * n)
     decomposition = decompose(random_hamiltonian(n, seed=6))
@@ -455,18 +455,23 @@ def test_no_clique_shares_its_sample_stream_under_another_seed(monkeypatch):
 
 
 def test_sampled_family_variances_add_up_to_total():
-    n = 3
-    universe = build_universe(n)
-    ham = random_hamiltonian(n, seed=6)
-    for mapping in ("jw", "parity"):
-        schedule = emit_schedule(universe, mapping)
-        occ = random_occupation_state(2 * n, seed=4)
-        psi = occupation_to_qubit_state(occ, mapping, 2 * n)
-        sampled = estimate_energy_sampled(psi, schedule, decompose(ham), shots=300, seed=2)
-        assert set(sampled.family_stderr) == set(universe.family_counts())
-        assert all(s > 0 for s in sampled.family_stderr.values())
-        family_sum = sum(s**2 for s in sampled.family_stderr.values())
-        assert abs(family_sum - sampled.stderr**2) < 1e-12
+    """Every family reports an error, so the keys stay stable; a family with
+    no clique (``part`` and ``one_body`` at odd N) reads exactly 0."""
+    for n in (4, 5):
+        universe = build_universe(n)
+        counts = universe.family_counts()
+        assert [f for f in FAMILIES if not counts[f]] == (["part", "one_body"] if n % 2 else [])
+        ham = random_hamiltonian(n, seed=6)
+        for mapping in ("jw", "parity"):
+            schedule = emit_schedule(universe, mapping)
+            occ = random_occupation_state(2 * n, seed=4)
+            psi = occupation_to_qubit_state(occ, mapping, 2 * n)
+            sampled = estimate_energy_sampled(psi, schedule, decompose(ham), shots=300, seed=2)
+            assert set(sampled.family_stderr) == set(counts)
+            for family, s in sampled.family_stderr.items():
+                assert s > 0 if counts[family] else s == 0, (n, mapping, family, s)
+            family_sum = sum(s**2 for s in sampled.family_stderr.values())
+            assert abs(family_sum - sampled.stderr**2) < 1e-12
 
 
 @pytest.mark.parametrize("mapping", ["jw", "parity"])

@@ -24,6 +24,7 @@ from planesched.universe import (
     MeasurementClique,
     build_universe,
     classify_terms,
+    construction_total,
     decompose,
     load_hamiltonian,
     random_hamiltonian,
@@ -89,7 +90,7 @@ def test_canonical_form():
 def test_universe_counts():
     expected = {
         2: (8, {"part": 1, "one_body": 2, "diff_spin": 1, "same_spin": 4}),
-        3: (20, {"part": 1, "one_body": 6, "diff_spin": 9, "same_spin": 4}),
+        3: (10, {"part": 0, "one_body": 0, "diff_spin": 6, "same_spin": 4}),
         4: (25, {"part": 1, "one_body": 6, "diff_spin": 9, "same_spin": 9}),
         6: (61, {"part": 1, "one_body": 10, "diff_spin": 25, "same_spin": 25}),
     }
@@ -97,7 +98,7 @@ def test_universe_counts():
         u = build_universe(n)
         assert len(u) == total
         assert u.family_counts() == families
-        assert u.cliques[0].family == "part"
+        assert u.cliques[0].family == ("part" if n % 2 == 0 else "diff_spin")
         ids = [c.id for c in u.cliques]
         assert ids == list(range(total))
 
@@ -131,10 +132,56 @@ def test_closed_form_for_every_even_n_on_a_plane_of_order_n_minus_1():
 
 
 def test_odd_n_on_prime_power_planes():
-    # odd N takes N pairing rounds per spin: 1 + 2N + N^2 + N^2 on a plane of order N
-    for n, total in ((9, 181), (25, 1301), (27, 1513)):
+    # odd N takes N pairing rounds, each with its bye: N(N - 1) + N^2 on a plane of order N
+    for n, total in ((9, 153), (25, 1225), (27, 1431)):
         u = build_universe(n)
         assert (u.pi, len(u)) == (scan_plane_order(n), total) == (n, total)
+
+
+def test_construction_total_counts_the_cliques_built():
+    # truncated planes (N = 5, 7, 16, 22) and order 9 (N = 9, 10) included
+    for n in range(2, 33):
+        assert construction_total(n) == len(build_universe(n)), n
+    with pytest.raises(ValueError, match="need n >= 2"):
+        construction_total(1)
+
+
+def sole_holders(u) -> int:
+    """Bit c set when clique c is the only holder of some term."""
+    masks, sole = u.op_masks, 0
+    for term in classify_terms(u.n):
+        common = -1
+        for op in term:
+            common &= masks[op]
+        if common & (common - 1) == 0:
+            sole |= common
+    return sole
+
+
+def test_odd_n_cover_routes_every_term():
+    for n in range(3, 26, 2):
+        u = build_universe(n)
+        for term in classify_terms(n):
+            cid = route_term(term, u)
+            assert set(term) <= set(u.cliques[cid].ops), (n, term)
+
+
+def test_odd_n_cover_is_irredundant():
+    for n in range(3, 14, 2):
+        u = build_universe(n)
+        assert sole_holders(u) == (1 << len(u)) - 1, n
+    for n in range(3, 26, 2):
+        u = build_universe(n)
+        assert len({frozenset(c.ops) for c in u.cliques}) == len(u), n
+
+
+def test_even_n_keeps_the_cliques_that_hold_no_term_alone():
+    # part and the N - 1 diagonal diff_spin cliques, kept for the paper's breakdown
+    for n in (10, 12, 14):
+        u = build_universe(n)
+        sole = sole_holders(u)
+        assert [c.source for c in u.cliques if not sole >> c.id & 1] == (
+            [None] + [("rounds", i, i) for i in range(n - 1)]), n
 
 
 def test_clique_ops_within_spin_are_index_disjoint():
@@ -148,22 +195,32 @@ def test_clique_ops_within_spin_are_index_disjoint():
 
 
 def reference_cliques(n: int) -> list[MeasurementClique]:
-    """The cliques built one at a time, each operator made for its clique."""
+    """The cliques built one at a time, each operator made for its clique.
+    At odd N a round's operators end with the number operator of the one
+    label it leaves out, and no round meets itself across spins."""
     pi = scan_plane_order(n)
     rounds, cliques = build_rounds(n), []
 
     def add(family, ops, source):
         cliques.append(MeasurementClique(len(cliques), family, tuple(ops), source))
 
-    add("part", [HoppingOp(p, p, spin) for spin in (UP, DOWN) for p in range(n)], None)
-    for spin in (UP, DOWN):
-        for i, rnd in enumerate(rounds):
-            add("one_body", [HoppingOp(p, q, spin) for p, q in rnd]
-                + [HoppingOp(r, r, 1 - spin) for r in range(n)], ("round", spin, i))
+    def round_ops(rnd, spin):
+        ops = [HoppingOp(p, q, spin) for p, q in rnd]
+        if n % 2:
+            (bye,) = set(range(n)).difference(*rnd)
+            ops.append(HoppingOp(bye, bye, spin))
+        return ops
+
+    if n % 2 == 0:
+        add("part", [HoppingOp(p, p, spin) for spin in (UP, DOWN) for p in range(n)], None)
+        for spin in (UP, DOWN):
+            for i, rnd in enumerate(rounds):
+                add("one_body", [HoppingOp(p, q, spin) for p, q in rnd]
+                    + [HoppingOp(r, r, 1 - spin) for r in range(n)], ("round", spin, i))
     for i, ri in enumerate(rounds):
         for j, rj in enumerate(rounds):
-            add("diff_spin", [HoppingOp(p, q, UP) for p, q in ri]
-                + [HoppingOp(r, s, DOWN) for r, s in rj], ("rounds", i, j))
+            if n % 2 == 0 or i != j:
+                add("diff_spin", round_ops(ri, UP) + round_ops(rj, DOWN), ("rounds", i, j))
     for group in build_cover(pi, n):
         add("same_spin", [HoppingOp(p, q, spin) for spin in (UP, DOWN) for p, q in group.members],
             ("anchor", point_code(group.anchor, pi)))
