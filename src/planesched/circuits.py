@@ -174,11 +174,10 @@ class DecodeTable(namedtuple("DecodeTable", ["qubits", "values"])):
     __slots__ = ()
 
 
-class MeasCircuit(namedtuple("MeasCircuit", ["gates", "depth", "decode", "permutations"])):
-    """One clique's circuit: the ``gates`` tuple, its ``depth``, a
-    ``DecodeTable`` per clique operator (``decode``) and, per spin, the mode
-    permutation its swap network realizes (``permutations``), kept in
-    memory but not written: the schedule file's swap gates replay it."""
+class MeasCircuit(namedtuple("MeasCircuit", ["gates", "depth", "decode"])):
+    """One clique's circuit: the ``gates`` tuple, its ``depth`` and a
+    ``DecodeTable`` per clique operator (``decode``).  Replaying its swap
+    gates gives each spin block's mode permutation."""
 
     __slots__ = ()
 
@@ -287,9 +286,9 @@ def _slot_table(spin: int, l: int, is_pair: bool, mapping: str, n: int) -> Decod
 
 
 # one spin block's share of every circuit that holds it: its swap gates per
-# network layer, its rotation layers, the network's permutation and each
-# operator's decode table, in block order
-_Block = namedtuple("_Block", ["layers", "rotation", "permutation", "tables"])
+# network layer, its rotation layers and each operator's decode table, in
+# block order
+_Block = namedtuple("_Block", ["layers", "rotation", "tables"])
 
 
 @cache
@@ -309,9 +308,9 @@ def _block(ops: tuple[HoppingOp, ...], spin: int, mapping: str, n: int) -> _Bloc
             lefts.append(l)
         tables.append(_slot_table(spin, l, not op.is_number, mapping, n))
     fswaps = _block_swaps(spin, mapping, n)
-    layers = tuple(tuple([fswaps[l] for l in layer.swaps]) for layer in net.layers)
+    layers = tuple(tuple([fswaps[l] for l in layer]) for layer in net.layers)
     rotation = _rotation(spin, tuple(lefts), mapping, n)
-    return _Block(layers, rotation, net.permutation, tuple(tables))
+    return _Block(layers, rotation, tuple(tables))
 
 
 def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
@@ -331,7 +330,7 @@ def emit(clique: MeasurementClique, mapping: str, n: int) -> MeasCircuit:
         depth += max(len(up_layers), len(down_layers))
 
     decode = dict(zip(up_ops + down_ops, up.tables + down.tables))
-    return MeasCircuit(tuple(gates), depth, decode, {UP: up.permutation, DOWN: down.permutation})
+    return MeasCircuit(tuple(gates), depth, decode)
 
 
 SCHEDULE_VERSION = 7
@@ -343,12 +342,14 @@ _SERIALIZED_MATRICES = {"FSWAP2", "FSWAP3", "FSWAP_EDGE"}
 class Schedule:
     """All emitted circuits for one universe and mapping."""
 
-    def __init__(self, n: int, mapping: str, universe: Universe,
-                 circuits: list[MeasCircuit]) -> None:
-        self.n = n
+    def __init__(self, mapping: str, universe: Universe, circuits: list[MeasCircuit]) -> None:
         self.mapping = mapping
         self.universe = universe
         self.circuits = circuits
+
+    @property
+    def n(self) -> int:
+        return self.universe.n
 
     def stats(self) -> dict:
         depths = [c.depth for c in self.circuits]
@@ -380,7 +381,7 @@ class Schedule:
 def emit_schedule(universe: Universe, mapping: str) -> Schedule:
     """Emit every clique's circuit."""
     circuits = [emit(c, mapping, universe.n) for c in universe.cliques]
-    return Schedule(universe.n, mapping, universe, circuits)
+    return Schedule(mapping, universe, circuits)
 
 
 def conjugation_problems(schedule: Schedule) -> list[str]:
@@ -445,8 +446,8 @@ def _schedule_chunks(schedule: Schedule) -> Iterator[str]:
     order of first use; ``gate_matrices`` holds each non-standard gate name's
     matrix once.  Both tables sort after ``cliques``, so they are written
     last, once every gate has been seen.  A record's ``decode`` lists
-    the operators in ``mc.ops`` order; ``circ.permutations`` is not written,
-    since replaying each swap gate on its top two qubits gives it.
+    the operators in ``mc.ops`` order.  No mode permutation is written:
+    replaying each swap gate on its top two qubits gives it.
 
     Texts are made once and then looked up: a gate's index per gate object
     (emission shares one per ``(name, qubits)``; an object not seen before

@@ -37,13 +37,8 @@ def _print_stats(stats: dict) -> None:
         print(f"{key}: {value}")
 
 
-def _build_schedule(n: int, mapping: str):
-    universe = build_universe(n)
-    return circuits_mod.emit_schedule(universe, mapping)
-
-
 def cmd_schedule(args: argparse.Namespace) -> int:
-    schedule = _build_schedule(args.orbitals, args.mapping)
+    schedule = circuits_mod.emit_schedule(build_universe(args.orbitals), args.mapping)
     try:
         circuits_mod.write_schedule(schedule, args.out)
     except OSError as exc:
@@ -55,7 +50,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    schedule = _build_schedule(args.orbitals, args.mapping)
+    schedule = circuits_mod.emit_schedule(build_universe(args.orbitals), args.mapping)
     _print_stats(schedule.stats())
     if args.grid:
         pi = schedule.universe.pi
@@ -190,15 +185,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         print(f"error: Hamiltonian in {args.hamiltonian} has n_orbitals {n}; need at least 2",
               file=sys.stderr)
         return 1
-    if args.orbitals is not None and args.orbitals != n:
-        print(f"error: --orbitals {args.orbitals} but Hamiltonian has {n}", file=sys.stderr)
-        return 2
     try:
         sim_mod.check_size(2 * n)
     except sim_mod.SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    schedule = _build_schedule(n, args.mapping)
+    schedule = circuits_mod.emit_schedule(build_universe(n), args.mapping)
     try:
         occ = _parse_state(args.state, 2 * n)
     except (OSError, ValueError, RecursionError) as exc:
@@ -248,9 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, orbitals_required: bool = True) -> None:
-        p.add_argument("--orbitals", type=int, required=orbitals_required,
-                       help="number of spatial orbitals N (2N spin orbitals)")
+    def common(p: argparse.ArgumentParser, orbitals: bool = True) -> None:
+        if orbitals:
+            p.add_argument("--orbitals", type=int, required=True,
+                           help="number of spatial orbitals N (2N spin orbitals)")
         p.add_argument("--mapping", choices=("jw", "parity"), default="jw")
 
     p_sched = sub.add_parser("schedule", help="emit all measurement circuits to a file")
@@ -270,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_est = sub.add_parser("estimate", help="estimate the energy of a state")
-    common(p_est, orbitals_required=False)
+    common(p_est, orbitals=False)
     p_est.add_argument("--hamiltonian", required=True, help="Hamiltonian JSON file")
     p_est.add_argument("--state", default="random:0",
                        help="random:<seed>, basis:<bits>, or an amplitude file")
@@ -281,22 +274,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "orbitals", None) is not None and args.orbitals < 2:
-        build_parser().error("--orbitals must be at least 2")
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "orbitals", 2) < 2:
+        parser.error("--orbitals must be at least 2")
     # the sampler's multinomial counts are int64; one shot gives no variance
     # (the plug-in estimate is always 0), so sampling needs at least two
     shots = getattr(args, "shots", 0)
     if shots == 1 or not 0 <= shots <= 2**63 - 1:
-        build_parser().error("--shots must be 0 (exact) or at least 2, at most 2**63 - 1")
+        parser.error("--shots must be 0 (exact) or at least 2, at most 2**63 - 1")
     if getattr(args, "seed", 0) < 0:
-        build_parser().error("--seed must be 0 or positive")
+        parser.error("--seed must be 0 or positive")
     try:
         code = args.func(args)
         sys.stdout.flush()
         return code
     except MemoryError:
-        size = "" if args.orbitals is None else f" for --orbitals {args.orbitals}"
+        size = f" for --orbitals {args.orbitals}" if hasattr(args, "orbitals") else ""
         print(f"error: not enough memory{size}", file=sys.stderr)
         return 1
     except BrokenPipeError:  # reader gone: the rest goes to devnull, so the exit flush won't raise

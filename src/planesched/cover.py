@@ -31,11 +31,11 @@ from .plane import (
 Vertex = tuple[int, int]
 
 
-class PairClique(namedtuple("PairClique", ["anchor", "members", "flagged"])):
+class PairClique(namedtuple("PairClique", ["anchor", "members"])):
     """Index pairs (``members``) attached to one ``anchor`` point.
 
-    ``flagged`` marks groups left with fewer than two members after index
-    truncation; they are retained so the group count stays exactly q^2.
+    Index truncation can leave a group with fewer than two members; it is
+    retained so the group count stays exactly q^2.
     """
 
     __slots__ = ()
@@ -87,10 +87,7 @@ def build_cover(pi: int, n: int | None = None) -> list[PairClique]:
             for t in pencil(vertex_line((l, lp), s), pi):
                 if t in groups:
                     groups[t].append((l, lp))
-    return [
-        PairClique(anchor, tuple(members), flagged=len(members) < 2)
-        for anchor, members in groups.items()
-    ]
+    return [PairClique(anchor, tuple(members)) for anchor, members in groups.items()]
 
 
 def check_no_three_collinear(pi: int) -> bool:

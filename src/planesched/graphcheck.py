@@ -66,15 +66,18 @@ class CoverReport:
 
     def __init__(
         self,
-        complete: bool,
         clique_violations: list[tuple[int, Vertex, Vertex]] | None = None,
         uncovered: list[tuple[Vertex, Vertex]] | None = None,
         multiplicity: dict[tuple[Vertex, Vertex], int] | None = None,
     ) -> None:
-        self.complete = complete
         self.clique_violations = [] if clique_violations is None else clique_violations
         self.uncovered = [] if uncovered is None else uncovered
         self.multiplicity = {} if multiplicity is None else multiplicity
+
+    @property
+    def complete(self) -> bool:
+        """Every group is a clique of the graph."""
+        return not self.clique_violations
 
     @property
     def ok(self) -> bool:
@@ -115,12 +118,7 @@ def verify_cover(graph: Graph, cliques: list[PairClique]) -> CoverReport:
                     if edge in multiplicity:
                         multiplicity[edge] += 1
     uncovered = sorted(e for e, count in multiplicity.items() if count == 0)
-    return CoverReport(
-        complete=not violations,
-        clique_violations=violations,
-        uncovered=uncovered,
-        multiplicity=multiplicity,
-    )
+    return CoverReport(violations, uncovered, multiplicity)
 
 
 def lower_bound(n: int) -> int:

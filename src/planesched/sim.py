@@ -415,7 +415,8 @@ class ExpectationReport(NamedTuple):
     """What an exact estimate measured and assembled.
 
     ``primitives`` holds the raw number- and hopping-operator expectations
-    of every measurable term.  With a decomposition, ``energy`` is its sum
+    of every measurable term, a number operator read as n_p, half of
+    A(p,p).  With a decomposition, ``energy`` is its sum
     and ``contributions`` splits it: ``nuclear`` the constant, then one share
     per clique family in FAMILIES order, a term's share going to the family
     of the clique it is routed to and measured in.
@@ -424,16 +425,6 @@ class ExpectationReport(NamedTuple):
     primitives: dict[TermKey, float]
     energy: float | None = None
     contributions: dict[str, float] | None = None
-
-    @property
-    def one_body(self) -> dict[HoppingOp, float]:
-        """Value of A(p,q,s) per operator; diagonal labels read A(p,p) = 2 n_p."""
-        return {t[0]: _diag_factor(t) * v for t, v in self.primitives.items() if len(t) == 1}
-
-    @property
-    def two_body(self) -> dict[TermKey, float]:
-        """Value of each product of two A operators, diagonals read as above."""
-        return {t: _diag_factor(t) * v for t, v in self.primitives.items() if len(t) == 2}
 
 
 def decode_value_vector(table: DecodeTable, n_qubits: int) -> np.ndarray:
@@ -484,14 +475,6 @@ def primitive_expectations(state: np.ndarray, schedule: Schedule) -> dict[TermKe
         for term, value in _term_values(terms, circuit, vector):
             out[term] = float(probs @ value)
     return out
-
-
-def _diag_factor(term: TermKey) -> int:
-    f = 1
-    for op in term:
-        if op.is_number:
-            f *= 2
-    return f
 
 
 def assemble_report(

@@ -9,8 +9,9 @@ two then trade places if that makes their modes' travel distances, largest
 first, lexicographically smaller; nested units cost the same swaps in
 either order, so this lowers depth and never adds a swap.  The network is
 the odd-even transposition sort of that target, started on whichever
-compare parity gives fewer layers (odd on a tie); each layer's swaps are
-disjoint nearest-neighbor transpositions.  At N = 16, 18, 24, 32 and 48
+compare parity gives fewer layers (odd on a tie); a layer is the tuple of
+left slots l of its disjoint nearest-neighbor transpositions (l, l+1), and
+its parity is that of any of them.  At N = 16, 18, 24, 32 and 48
 every spin block of the universe sorts in at most N/2 layers.
 ``position_vector`` is the earlier layout, hopping operator m on slots
 (2m, 2m+1) and the number operators after the pairs; it stays as the
@@ -31,17 +32,11 @@ UNUSED = -1  # sorts after every real position
 _INDICES = attrgetter("p", "q")
 
 
-class SwapLayer(namedtuple("SwapLayer", ["parity", "swaps"])):
-    """One layer of disjoint compares: ``parity`` is "odd" or "even", the
-    index parity of the left slot of each compare, and ``swaps`` holds the
-    left slot l of each transposition (l, l+1)."""
-
-    __slots__ = ()
-
-
-class SwapNetwork(namedtuple("SwapNetwork", ["n", "layers", "permutation"])):
-    """The sorting network of an ``n``-mode block: its non-empty ``layers``
-    and ``permutation``, original mode -> final slot."""
+class SwapNetwork(namedtuple("SwapNetwork", ["layers", "permutation"])):
+    """A block's sorting network: its non-empty ``layers``, each the tuple
+    of left slots l of its disjoint transpositions (l, l+1), all of one
+    parity, and ``permutation``, original mode -> final slot, one entry per
+    mode of the block."""
 
     __slots__ = ()
 
@@ -51,7 +46,7 @@ class SwapNetwork(namedtuple("SwapNetwork", ["n", "layers", "permutation"])):
 
     @property
     def swap_count(self) -> int:
-        return sum(len(layer.swaps) for layer in self.layers)
+        return sum(map(len, self.layers))
 
 
 def position_vector(ops: Iterable[HoppingOp], n: int) -> list[int]:
@@ -200,10 +195,10 @@ def odd_even_sort(p: Sequence[int]) -> SwapNetwork:
         other = _transposition_layers(work, 1 - first)
         odd, even = (layers, other) if first else (other, layers)
         layers = even if len(even) < len(odd) else odd
-    return SwapNetwork(n, tuple(layers), tuple(slot_of))
+    return SwapNetwork(tuple(layers), tuple(slot_of))
 
 
-def _transposition_layers(values: list[int], first: int) -> list[SwapLayer]:
+def _transposition_layers(values: list[int], first: int) -> list[tuple[int, ...]]:
     """The non-empty layers of the odd-even transposition sort of ``values``
     (left unchanged) whose first pass compares slots (l, l+1) with
     l % 2 == ``first``.
@@ -214,7 +209,7 @@ def _transposition_layers(values: list[int], first: int) -> list[SwapLayer]:
     """
     n = len(values)
     work = list(values)
-    layers: list[SwapLayer] = []
+    layers: list[tuple[int, ...]] = []
     quiet = 0  # passes in a row without a swap
     for pass_idx in range(n):
         start = first ^ (pass_idx % 2)
@@ -222,7 +217,7 @@ def _transposition_layers(values: list[int], first: int) -> list[SwapLayer]:
         if swaps:
             for l in swaps:
                 work[l], work[l + 1] = work[l + 1], work[l]
-            layers.append(SwapLayer("odd" if start else "even", tuple(swaps)))
+            layers.append(tuple(swaps))
             quiet = 0
         else:
             quiet += 1

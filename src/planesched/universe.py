@@ -283,6 +283,8 @@ class Hamiltonian:
         import numpy as np
 
         n = self.n_orbitals = n_orbitals
+        if n < 0:
+            raise ValueError(f"n_orbitals must not be negative, got {n}")
         self.e_nuc = e_nuc
         self.h = np.asarray(h, dtype=float)
         self.g = np.asarray(g, dtype=float)

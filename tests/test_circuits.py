@@ -344,8 +344,8 @@ def v1_chunks(schedule):
             "gates": "[" + ",".join(map(gate_text, circ.gates)) + "]",
             "decode": "[" + decode + "]",
             "depth": _v1_dumps(circ.depth),
-            "permutation": _v1_dumps({"up": circ.permutations[UP],
-                                      "down": circ.permutations[DOWN]}),
+            "permutation": _v1_dumps(replay_permutations(
+                [{"name": g.name, "qubits": g.qubits} for g in circ.gates], schedule.n)),
         })
         yield ("," if i else "") + record
     tail = _v1_object({
@@ -431,14 +431,16 @@ def test_v2_expands_to_the_v1_reference(n, mapping):
 
 @pytest.mark.parametrize("mapping", ["jw", "parity"])
 def test_swap_gates_replay_each_circuits_permutations(mapping):
-    """Formats 6 and 7 write no permutation: the file's swap gates give it back."""
+    """Formats 6 and 7 write no permutation: the file's swap gates give back
+    the permutation each spin block's network realizes."""
     for n in range(2, 13):
-        schedule = emit_schedule(build_universe(n), mapping)
-        data = schedule_to_dict(schedule)
-        for record, circ in zip(data["cliques"], schedule.circuits, strict=True):
+        universe = build_universe(n)
+        data = schedule_to_dict(emit_schedule(universe, mapping))
+        for record, mc in zip(data["cliques"], universe.cliques, strict=True):
             perms = replay_permutations([data["gate_defs"][i] for i in record["gates"]], n)
-            assert perms == {"up": list(circ.permutations[UP]),
-                             "down": list(circ.permutations[DOWN])}, (n, record["id"])
+            assert perms == {
+                name: list(odd_even_sort(adjacent_target(mc.ops_for_spin(spin), n)).permutation)
+                for name, spin in (("up", UP), ("down", DOWN))}, (n, record["id"])
 
 
 def test_shared_emission_caches_keep_each_schedule_pinned():
@@ -630,7 +632,7 @@ def reference_emit(clique, mapping: str, n: int) -> MeasCircuit:
         nets[spin] = circuits.odd_even_sort(targets[spin])
         lefts[spin] = [nets[spin].permutation[op.p] for op in ops if not op.is_number]
     gates = []
-    up, down = ([[map_fswap(l, spin, mapping, n) for l in layer.swaps]
+    up, down = ([[map_fswap(l, spin, mapping, n) for l in layer]
                  for layer in nets[spin].layers] for spin in (UP, DOWN))
     for up_layer, down_layer in zip_longest(up, down, fillvalue=[]):
         gates += up_layer + down_layer
@@ -648,8 +650,7 @@ def reference_emit(clique, mapping: str, n: int) -> MeasCircuit:
         decode[op] = _decode_from_diagonal(
             pauli.support(local), rotated, moved.is_number, moved, "on its slots"
         )
-    return MeasCircuit(tuple(gates), max(len(up), len(down)) + rotation_depth, decode,
-                       {UP: nets[UP].permutation, DOWN: nets[DOWN].permutation})
+    return MeasCircuit(tuple(gates), max(len(up), len(down)) + rotation_depth, decode)
 
 
 def reference_chunks(schedule):
@@ -687,8 +688,7 @@ def reference_chunks(schedule):
 
 def circuit_key(circ: MeasCircuit):
     """A circuit's content, gates by ``(name, qubits)``."""
-    return ([(g.name, g.qubits) for g in circ.gates], circ.depth, circ.decode,
-            circ.permutations)
+    return [(g.name, g.qubits) for g in circ.gates], circ.depth, circ.decode
 
 
 @pytest.mark.parametrize("mapping", ["jw", "parity"])
@@ -701,7 +701,7 @@ def test_block_emission_and_writer_equal_the_per_operator_references(mapping):
         assert schedule_json(schedule) == "".join(reference_chunks(schedule)), n
         # gates rebuilt as fresh objects reach the writer's (name, qubits)
         # fallback for every gate, and must give the same indices
-        fresh = Schedule(n, mapping, universe, [
+        fresh = Schedule(mapping, universe, [
             circ._replace(gates=tuple(Gate(g.name, g.qubits) for g in circ.gates))
             for circ in schedule.circuits
         ])
@@ -748,7 +748,7 @@ def test_network_that_leaves_an_operator_off_its_slot_is_a_diagonalization_error
         monkeypatch, clear_block_caches):
     # a network that never swaps: A(0, 2) keeps slots 0, 2 but was given 0, 1
     monkeypatch.setattr(circuits, "odd_even_sort",
-                        lambda p: SwapNetwork(len(p), (), tuple(range(len(p)))))
+                        lambda p: SwapNetwork((), tuple(range(len(p)))))
     universe = build_universe(4)
     clique = next(c for c in universe.cliques if HoppingOp(0, 2, UP) in c.ops)
     text = "HoppingOp(p=0, q=2, spin=0): swap network left it on slots 0, 2"

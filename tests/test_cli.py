@@ -430,7 +430,8 @@ TOO_BIG = 10**400  # an exact JSON integer beyond float range
 
 
 @pytest.mark.parametrize("malformed", [
-    "list", {"e_nuc": None}, {"n_orbitals": [2]}, {"n_orbitals": 2.5}, {"h": {}},
+    "list", {"e_nuc": None}, {"n_orbitals": [2]}, {"n_orbitals": 2.5}, {"n_orbitals": -3},
+    {"h": {}},
     {"e_nuc": TOO_BIG},
     {"h": np.full((2, 2, 2), TOO_BIG, dtype=object).tolist()},
     {"g": np.full((2,) * 6, TOO_BIG, dtype=object).tolist()},
@@ -480,6 +481,14 @@ def test_estimate_names_the_shape_of_a_bad_g(tmp_path, capsys):
                                        "g must have shape (2, 2, 2, 2, 2, 2), got ()\n")
 
 
+def test_estimate_names_a_negative_n_orbitals(tmp_path, capsys):
+    path = tmp_path / "ham.json"
+    path.write_text(json.dumps({**random_hamiltonian(2, seed=4).to_dict(), "n_orbitals": -3}))
+    assert main(["estimate", "--hamiltonian", str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: cannot load Hamiltonian from {path}: "
+                                       "n_orbitals must not be negative, got -3\n")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's would print to stderr
 @pytest.mark.parametrize("h_entry", [1e308, 5e307])
 def test_estimate_rejects_an_overflowing_hamiltonian(tmp_path, capsys, h_entry):
@@ -506,11 +515,18 @@ def test_schedule_to_a_missing_directory_exits_one(tmp_path, capsys):
     assert_one_line_error(capsys, stdout="")
 
 
-def test_estimate_orbitals_mismatch_exits_two(tmp_path, capsys):
+def test_estimate_orbitals_option_is_a_usage_error(tmp_path, capsys):
+    """``estimate`` takes N from the Hamiltonian file, so even a matching
+    ``--orbitals`` is an unknown option: exit 2 and one error line."""
     path = tmp_path / "ham.json"
     random_hamiltonian(2, seed=4).save(str(path))
-    assert main(["estimate", "--hamiltonian", str(path), "--orbitals", "3"]) == 2
-    assert_one_line_error(capsys, stdout="")
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--hamiltonian", str(path), "--orbitals", "2"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        "planesched: error: unrecognized arguments: --orbitals 2"]
 
 
 def test_traced_cli_hooks_resolve(monkeypatch):

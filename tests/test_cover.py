@@ -97,7 +97,11 @@ def test_cover_counts_and_flags():
         cliques = build_cover(pi)
         assert len(cliques) == pi * pi
         assert all(len(c.members) <= pi + 1 for c in cliques)
-        assert all(c.flagged == (len(c.members) < 2) for c in cliques)
+        assert all(len(c.members) >= 2 for c in cliques)
+    # truncation leaves groups of fewer than two members; they are kept
+    truncated = build_cover(7, 4)
+    assert len(truncated) == 49
+    assert sum(len(c.members) < 2 for c in truncated) == 32
 
 
 def test_cover_matches_scan_oracle():
@@ -234,5 +238,6 @@ COVER_DIGESTS = {
 
 @pytest.mark.parametrize("pi, n", sorted(COVER_DIGESTS))
 def test_cover_digest_is_pinned(pi, n):
-    rows = [(point_code(c.anchor, pi), c.members, c.flagged) for c in build_cover(pi, n)]
+    rows = [(point_code(c.anchor, pi), c.members, len(c.members) < 2)
+            for c in build_cover(pi, n)]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == COVER_DIGESTS[(pi, n)]

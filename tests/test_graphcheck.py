@@ -68,7 +68,7 @@ def test_non_clique_member_is_reported():
     n = 4
     graph = build_graph(n)
     cliques = build_cover(plane_order(n), n)
-    bad = PairClique(beta_point(0), ((0, 1), (1, 2)), flagged=False)
+    bad = PairClique(beta_point(0), ((0, 1), (1, 2)))
     report = verify_cover(graph, cliques + [bad])
     assert not report.complete
     assert report.clique_violations

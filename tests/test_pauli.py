@@ -166,7 +166,7 @@ def with_moved_swap(schedule, cid: int, shift: int, i: int | None = None):
     gates = circ.gates[:i] + (moved,) + circ.gates[i + 1 :]
     circs = list(schedule.circuits)
     circs[cid] = circ._replace(gates=gates)
-    return Schedule(schedule.n, schedule.mapping, schedule.universe, circs), gates
+    return Schedule(schedule.mapping, schedule.universe, circs), gates
 
 
 def test_moved_swap_trips_exact_tripwire_and_oracle(capsys, monkeypatch):
@@ -257,7 +257,7 @@ def test_decode_cache_cannot_hide_a_corrupt_table():
         circ = schedule.circuits[cid]
         circs = list(schedule.circuits)
         circs[cid] = circ._replace(decode={**circ.decode, op: bad})
-        broken = Schedule(schedule.n, schedule.mapping, schedule.universe, circs)
+        broken = Schedule(schedule.mapping, schedule.universe, circs)
         assert circuits.conjugation_problems(broken) == [
             f"clique {cid} {op}: decodes to {good.values}, table says {bad.values}"
         ]
@@ -434,7 +434,7 @@ def test_tripwire_flags_what_the_per_string_loop_flags(data):
         circ = schedule.circuits[cid]
         circs = list(schedule.circuits)
         circs[cid] = circ._replace(gates=circ.gates[:i] + circ.gates[i + 1:])
-        broken = Schedule(n, mapping, schedule.universe, circs)
+        broken = Schedule(mapping, schedule.universe, circs)
     else:
         broken, _ = with_moved_swap(schedule, cid, shift, i)
     assert circuits.conjugation_problems(broken) == reference_problems(broken)

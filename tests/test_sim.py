@@ -260,14 +260,15 @@ def dense_deviation(n: int, mapping: str, seed: int) -> float:
     psi = occupation_to_qubit_state(occ, mapping, 2 * n)
     report = estimate_all(psi, schedule)
     gaps = [0.0]
-    for op, value in report.one_body.items():
-        dense = hopping_operator(op.p, op.q, op.spin, mapping, n)
-        gaps.append(abs(value - np.vdot(psi, dense @ psi)))
-    for term, value in report.two_body.items():
-        factor = 1
-        for op in term:
-            factor *= 2 if op.is_number else 1
-        gaps.append(abs(value - factor * np.vdot(psi, term_matrix(term, mapping, n) @ psi)))
+    for term, value in report.primitives.items():
+        # a primitive reads n_p where the A operators read A(p,p) = 2 n_p
+        factor = 2 ** sum(op.is_number for op in term)
+        if len(term) == 1:
+            (op,) = term
+            dense = hopping_operator(op.p, op.q, op.spin, mapping, n)
+        else:
+            dense = factor * term_matrix(term, mapping, n)
+        gaps.append(abs(factor * value - np.vdot(psi, dense @ psi)))
     return max(gaps)
 
 
@@ -299,10 +300,12 @@ def test_basis_state_expectations():
     occ = basis_occupation_state("110100")  # modes 0, 1 up and 0 down occupied
     psi = occupation_to_qubit_state(occ, "jw", 2 * n)
     report = estimate_all(psi, schedule)
-    for op, value in report.one_body.items():
+    singles = {term[0]: value for term, value in report.primitives.items() if len(term) == 1}
+    assert len(singles) == 2 * n * (n + 1) // 2
+    for op, value in singles.items():
         if op.is_number:
-            expected = {(0, UP): 2, (1, UP): 2, (0, DOWN): 2}.get((op.p, op.spin), 0)
-            assert abs(value - expected) < 1e-12  # A(p,p) doubles the occupation
+            expected = {(0, UP): 1, (1, UP): 1, (0, DOWN): 1}.get((op.p, op.spin), 0)
+            assert abs(value - expected) < 1e-12  # n_p is the occupation
         else:
             assert abs(value) < 1e-12
 

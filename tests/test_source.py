@@ -30,7 +30,9 @@ def test_no_assert_statement_in_the_package():
 @pytest.mark.parametrize("module, loaded", [
     ("gf", "gf"),
     ("universe", "cover gf plane roundrobin universe"),
-], ids=["gf", "universe"])
+    # the start-up path of every command: only ``estimate`` loads sim and numpy
+    ("cli", "circuits cli cover gf graphcheck pauli plane roundrobin swapnet universe"),
+], ids=["gf", "universe", "cli"])
 def test_a_module_import_loads_only_what_that_module_uses(module, loaded):
     """The package root holds no code, so importing one module loads its
     own dependencies and nothing else: no other module, no numpy."""

@@ -8,7 +8,7 @@ from planesched.circuits import GATE_SIGNS, DecodeTable, Gate, MeasCircuit, Sche
 from planesched.cover import PairClique
 from planesched.graphcheck import CoverReport, Graph
 from planesched.sim import ExpectationReport
-from planesched.swapnet import SwapLayer, SwapNetwork
+from planesched.swapnet import SwapNetwork
 from planesched.universe import DOWN, UP, Hamiltonian, HoppingOp, MeasurementClique, Universe
 
 H0 = HoppingOp(0, 1, UP)
@@ -19,15 +19,12 @@ NAMED_TUPLES = [
     (HoppingOp, ("p", "q", "spin"), (0, 1, UP)),
     (SignMatrix, ("scale", "signs"), (1.0, ((1, 0), (0, 1)))),
     (DecodeTable, ("qubits", "values"), ((0, 1), (0, 1, 0, -1))),
-    (MeasCircuit, ("gates", "depth", "decode", "permutations"),
-     ((), 0, {H0: DecodeTable((0, 1), (0, 1, 0, -1))}, {UP: (0, 1), DOWN: (0, 1)})),
+    (MeasCircuit, ("gates", "depth", "decode"), ((), 0, {H0: DecodeTable((0, 1), (0, 1, 0, -1))})),
     (MeasurementClique, ("id", "family", "ops", "source"),
      (3, "same_spin", (H0, H1), ("anchor", 5))),
-    (PairClique, ("anchor", "members", "flagged"), ((1, 0, 2), ((0, 1), (2, 3)), False)),
+    (PairClique, ("anchor", "members"), ((1, 0, 2), ((0, 1), (2, 3)))),
     (Graph, ("n", "vertices", "edges"), (2, ((0, 0), (0, 1)), frozenset())),
-    (SwapLayer, ("parity", "swaps"), ("odd", (1, 3))),
-    (SwapNetwork, ("n", "layers", "permutation"),
-     (3, (SwapLayer("odd", (1,)), SwapLayer("even", (0,))), (1, 2, 0))),
+    (SwapNetwork, ("layers", "permutation"), (((1,), (0,)), (1, 2, 0))),
     (ExpectationReport, ("primitives", "energy", "contributions"),
      ({(H0,): 0.5}, -1.0, {"nuclear": -1.5, "part": 0.5})),
 ]
@@ -57,21 +54,17 @@ def test_named_tuple_defaults_and_methods():
     assert clique.source is None
     assert clique == MeasurementClique(id=0, family="part", ops=(H0, H1), source=None)
     assert clique.ops_for_spin(UP) == (H0,) and clique.ops_for_spin(DOWN) == (H1,)
-    assert PairClique((0, 0, 1), ((0, 1),), flagged=True).flagged
     assert H0 != HoppingOp(0, 1, DOWN) and not H0.is_number and H1.is_number
     assert H0.indices == frozenset((0, 1))
-    net = SwapNetwork(3, (SwapLayer("odd", (1,)), SwapLayer("even", (0, 2))), (1, 2, 0))
+    net = SwapNetwork(((1,), (0, 2)), (1, 2, 0))
     assert (net.depth, net.swap_count) == (2, 3)
     gates = (Gate("H", (0,)), Gate("CNOT", (0, 1)))
-    assert MeasCircuit(gates, 2, {}, {}).gate_count == 2
+    assert MeasCircuit(gates, 2, {}).gate_count == 2
     graph = Graph(3, ((0, 0), (0, 1), (1, 2)), frozenset({((0, 0), (1, 2))}))
     assert graph.pair_vertices == ((0, 1), (1, 2))
     assert graph.pair_subgraph_edges() == frozenset()
     report = ExpectationReport({(H0,): 0.5, (H1,): 0.25, (H0, H1): 1.0})
     assert report.energy is None and report.contributions is None
-    # one_body and two_body read a number operator n_p as A(p,p) = 2 n_p
-    assert report.one_body == {H0: 0.5, H1: 0.5}
-    assert report.two_body == {(H0, H1): 2.0}
 
 
 def test_gate_is_immutable_and_equal_only_to_itself():
@@ -104,11 +97,12 @@ def test_containers_take_the_same_arguments():
     universe = Universe(n=2, pi=2, anchor_groups=[], cliques=[clique])
     assert universe.op_masks == {H0: 1}
     assert len(universe) == 1 and list(universe) == [clique]
-    schedule = Schedule(n=2, mapping="jw", universe=universe, circuits=[])
+    schedule = Schedule(mapping="jw", universe=universe, circuits=[])
     assert (schedule.n, schedule.mapping, schedule.universe, schedule.circuits) == (
         2, "jw", universe, [])
-    first, second = CoverReport(complete=True), CoverReport(True)
+    first, second = CoverReport(), CoverReport()
     assert first.ok and first.clique_violations == [] and first.multiplicity == {}
+    assert CoverReport(clique_violations=[(0, (0, 1), (1, 2))]).complete is False
     first.uncovered.append(((0, 1), (2, 3)))
     assert not first.ok and second.uncovered == []  # no shared default list
     ham = Hamiltonian(n_orbitals=1, e_nuc=0.5, h=[[[1.0]], [[2.0]]], g=[[[[[[0.0]]]]] * 2] * 2)
