@@ -211,14 +211,14 @@ def map_fswap(l: int, spin: int, mapping: str, n: int) -> Gate:
     raise ValueError(f"unknown mapping: {mapping!r}")
 
 
-@cache
 def _rotation(spin: int, lefts: tuple[int, ...], mapping: str,
               n: int) -> tuple[tuple[Gate, ...], ...]:
     """Basis-rotation layers of a spin block whose hopping operators sit on
     slots (l, l+1), l in ``lefts``, acting on each pair's left qubit: a
     CNOT layer then a Hadamard layer under Jordan-Wigner, the Hadamard layer
-    alone under parity, and no layer without pairs.  One tuple, shared by
-    every circuit that holds such a block."""
+    alone under parity, and no layer without pairs.  Each distinct block
+    makes its tuple once (``_block``), shared by every circuit that holds
+    the block; its gates are the shared ``_gate`` objects."""
     if mapping not in ("jw", "parity"):
         raise ValueError(f"unknown mapping: {mapping!r}")
     if not lefts:

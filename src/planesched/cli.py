@@ -70,7 +70,10 @@ def _schedule_file_problems(path: str, schedule: circuits_mod.Schedule | None) -
     try:
         if circuits_mod.schedule_file_matches(schedule, path):
             return []
-        data = circuits_mod.load_schedule_dict(path)
+        try:
+            data = circuits_mod.load_schedule_dict(path)
+        except MemoryError:  # the file's fault, not the run's: nothing bounds the read
+            return ["unreadable schedule file: too large to load"]
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         return [f"unreadable schedule file: {exc}"]
     return circuits_mod.verify_schedule_dict(data, schedule)

@@ -69,7 +69,6 @@ def check_size(n_qubits: int) -> None:
 
 # the name fixes the matrix, so each gate name's rows are built once
 _GATE_ROWS = {name: (m.scale, m.rows()) for name, m in GATE_SIGNS.items()}
-_ACCUMULATE = {1: np.add, -1: np.subtract}
 
 
 @cache
@@ -86,28 +85,20 @@ def _gate_matrix(name: str) -> np.ndarray:
 
 def apply_gate(state: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
     """Apply one gate; returns a new vector.  The per-gate reference for
-    ``apply_circuit``.
+    ``apply_circuit``, written as the definition of the gate's rows.
 
     ``Gate`` holds contiguous ascending qubits, so the state is a
-    (high, 2^m, low) array and each output row is a signed sum of input rows.
+    (high, 2^m, low) array: output row r is the sum of sign times input row
+    col over the (col, sign) entries of row r, times the gate's scale.
     """
     scale, rows = _GATE_ROWS[gate.name]
     q0, m = gate.qubits[0], len(gate.qubits)
     psi = state.reshape(1 << (n_qubits - q0 - m), len(rows), 1 << q0)
-    out = np.empty(psi.shape, dtype=complex)
-    for r, ((col, sign), *rest) in enumerate(rows):
-        dst = out[:, r, :]
-        if rest and sign > 0:  # start from the first two rows in one pass
-            (col2, sign2), *rest = rest
-            _ACCUMULATE[sign2](psi[:, col, :], psi[:, col2, :], out=dst)
-        elif sign > 0:
-            np.copyto(dst, psi[:, col, :])  # np.positive is several times slower
-        else:
-            np.negative(psi[:, col, :], out=dst)
-        for col2, sign2 in rest:
-            _ACCUMULATE[sign2](dst, psi[:, col2, :], out=dst)
-    if scale != 1.0:
-        out *= scale
+    out = np.zeros(psi.shape, dtype=complex)
+    for r, row in enumerate(rows):
+        for col, sign in row:
+            out[:, r, :] += sign * psi[:, col, :]
+    out *= scale
     return out.reshape(-1)
 
 
@@ -416,15 +407,15 @@ class ExpectationReport(NamedTuple):
 
     ``primitives`` holds the raw number- and hopping-operator expectations
     of every measurable term, a number operator read as n_p, half of
-    A(p,p).  With a decomposition, ``energy`` is its sum
-    and ``contributions`` splits it: ``nuclear`` the constant, then one share
-    per clique family in FAMILIES order, a term's share going to the family
-    of the clique it is routed to and measured in.
+    A(p,p).  ``energy`` is the Hamiltonian's expectation assembled from
+    them, and ``contributions`` splits it: ``nuclear`` the constant, then
+    one share per clique family in FAMILIES order, a term's share going to
+    the family of the clique it is routed to and measured in.
     """
 
     primitives: dict[TermKey, float]
-    energy: float | None = None
-    contributions: dict[str, float] | None = None
+    energy: float
+    contributions: dict[str, float]
 
 
 def decode_value_vector(table: DecodeTable, n_qubits: int) -> np.ndarray:
@@ -480,16 +471,16 @@ def primitive_expectations(state: np.ndarray, schedule: Schedule) -> dict[TermKe
 def assemble_report(
     primitives: dict[TermKey, float],
     schedule: Schedule,
-    decomposition: Decomposition | None = None,
+    decomposition: Decomposition,
 ) -> ExpectationReport:
-    """The report of ``primitives``, with the energy of ``decomposition`` and
-    each family's share of it when one is given.
+    """The report of ``primitives``: the energy of ``decomposition`` and each
+    family's share of it.
 
     One pass over the coefficients adds each ``c * primitives[term]`` to the
-    energy and to the share of the family of ``route_term``'s clique.
+    energy and to the share of the family of ``route_term``'s clique.  A
+    term of the decomposition that ``primitives`` lacks is a
+    ``CoverageError``.
     """
-    if decomposition is None:
-        return ExpectationReport(primitives)
     const, coeffs = decomposition
     universe = schedule.universe
     energy = const
@@ -503,16 +494,12 @@ def assemble_report(
     return ExpectationReport(primitives, energy, contributions)
 
 
-def estimate_all(
-    state: np.ndarray, schedule: Schedule, ham: Hamiltonian | None = None
-) -> ExpectationReport:
-    """Exact estimates of all hopping expectations, plus the energy if given."""
-    decomposition = None
-    if ham is not None:
-        if ham.n_orbitals != schedule.n:
-            raise ValueError("Hamiltonian size does not match the schedule")
-        decomposition = decompose(ham)
-    return assemble_report(primitive_expectations(state, schedule), schedule, decomposition)
+def estimate_all(state: np.ndarray, schedule: Schedule, ham: Hamiltonian) -> ExpectationReport:
+    """Exact expectations of every measurable term on ``state`` through the
+    schedule's circuits, and the energy of ``ham`` assembled from them."""
+    if ham.n_orbitals != schedule.n:
+        raise ValueError("Hamiltonian size does not match the schedule")
+    return assemble_report(primitive_expectations(state, schedule), schedule, decompose(ham))
 
 
 def sample_shots(

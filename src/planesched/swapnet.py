@@ -165,21 +165,13 @@ def _balance(order: list[tuple[int, ...]]) -> None:
 
 def odd_even_sort(p: Sequence[int]) -> SwapNetwork:
     """Sorting network for a position vector: the odd-even transposition
-    sort from whichever compare parity gives fewer layers, odd on a tie.
+    sort run from both compare parities, keeping the one with fewer layers,
+    the odd start on a tie.
 
     Returns only the non-empty layers plus the realized mode permutation,
     which is the stable sort of ``p`` with every -1 after the real
     positions: a compare never swaps equal values, so either start ends
     there.
-
-    A layer moves a mode at most one slot, so no network is shallower than
-    the farthest any mode travels, ``travel``.  A start whose first pass
-    cannot move some farthest mode m (its first compare has left slot m
-    going right, m-1 going left) needs travel + 1 layers, unless that pass
-    swaps nothing, and then its network is the other start's.  So the sort
-    runs first from the start that moves a farthest mode at once, odd if
-    one of them is odd, and runs the other start only when the first did
-    not reach ``travel``.
     """
     n = len(p)
     last = max(p, default=UNUSED) + 1  # UNUSED sorts after every real position
@@ -187,15 +179,8 @@ def odd_even_sort(p: Sequence[int]) -> SwapNetwork:
     slot_of = [0] * n  # mode -> final slot
     for slot, mode in enumerate(sorted(range(n), key=work.__getitem__)):
         slot_of[mode] = slot
-    travel = max([abs(slot - mode) for mode, slot in enumerate(slot_of)], default=0)
-    first = 1 if any((mode if slot > mode else mode - 1) % 2
-                     for mode, slot in enumerate(slot_of) if abs(slot - mode) == travel) else 0
-    layers = _transposition_layers(work, first)
-    if len(layers) > travel:  # the other start may be shallower
-        other = _transposition_layers(work, 1 - first)
-        odd, even = (layers, other) if first else (other, layers)
-        layers = even if len(even) < len(odd) else odd
-    return SwapNetwork(tuple(layers), tuple(slot_of))
+    odd, even = _transposition_layers(work, 1), _transposition_layers(work, 0)
+    return SwapNetwork(tuple(even if len(even) < len(odd) else odd), tuple(slot_of))
 
 
 def _transposition_layers(values: list[int], first: int) -> list[tuple[int, ...]]:
@@ -203,27 +188,21 @@ def _transposition_layers(values: list[int], first: int) -> list[tuple[int, ...]
     (left unchanged) whose first pass compares slots (l, l+1) with
     l % 2 == ``first``.
 
-    After at most len(values) passes the vector is sorted.  Two passes in a
-    row without a swap have compared every adjacent pair, so the sort stops
-    there.
+    The sort stops once the vector is sorted, which takes at most
+    len(values) passes.
     """
     n = len(values)
-    work = list(values)
+    work, done = list(values), sorted(values)
     layers: list[tuple[int, ...]] = []
-    quiet = 0  # passes in a row without a swap
     for pass_idx in range(n):
+        if work == done:
+            break
         start = first ^ (pass_idx % 2)
         swaps = [l for l in range(start, n - 1, 2) if work[l] > work[l + 1]]
         if swaps:
             for l in swaps:
                 work[l], work[l + 1] = work[l + 1], work[l]
             layers.append(tuple(swaps))
-            quiet = 0
-        else:
-            quiet += 1
-            if quiet == 2:
-                break
-    else:
-        if any(work[i] > work[i + 1] for i in range(n - 1)):
-            raise RuntimeError(f"odd-even sort left {values} unsorted after {n} passes")
+    if work != done:
+        raise RuntimeError(f"odd-even sort left {values} unsorted after {n} passes")
     return layers

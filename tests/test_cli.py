@@ -703,6 +703,24 @@ def test_verify_out_reports_a_too_deeply_nested_schedule_file(tmp_path, capsys):
     assert "schedule_file_check: fail" in out and out.endswith("verify_result: fail\n")
 
 
+def test_verify_out_reports_a_schedule_file_too_large_to_load(tmp_path, capsys, monkeypatch):
+    """Running out of memory while loading the file is the file's problem,
+    not a failed run: the other checks still report."""
+    path = tmp_path / "sched.json"
+    path.write_text("{}")
+
+    def too_large(path):
+        raise MemoryError
+
+    monkeypatch.setattr(circuits, "load_schedule_dict", too_large)
+    assert main(["verify", "--orbitals", "2", "--out", str(path)]) == 1
+    out, err = capsys.readouterr()
+    problems = [line for line in out.splitlines() if line.startswith("schedule_file_problem: ")]
+    assert problems == ["schedule_file_problem: unreadable schedule file: too large to load"]
+    assert "schedule_file_check: fail" in out and out.endswith("verify_result: fail\n")
+    assert err == ""
+
+
 def test_estimate_reports_a_too_deeply_nested_hamiltonian(tmp_path, capsys):
     path = tmp_path / "ham.json"
     path.write_text(DEEP_JSON)

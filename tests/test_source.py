@@ -48,3 +48,29 @@ print("numpy" in sys.modules)
                             env=env, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"{loaded}\nFalse\n"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """``file:line name`` for each name the file imports and never reads.
+    An unquoted annotation is an expression in the tree, so a read there
+    counts; ``__future__`` imports are exempt."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}  # bound name -> line of its import
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_import_in_the_package_or_its_tests():
+    """Every imported name is read somewhere in its file."""
+    files = sorted(SOURCE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert len(files) > 2
+    assert [found for path in files for found in unused_imports(path)] == []

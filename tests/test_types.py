@@ -63,8 +63,6 @@ def test_named_tuple_defaults_and_methods():
     graph = Graph(3, ((0, 0), (0, 1), (1, 2)), frozenset({((0, 0), (1, 2))}))
     assert graph.pair_vertices == ((0, 1), (1, 2))
     assert graph.pair_subgraph_edges() == frozenset()
-    report = ExpectationReport({(H0,): 0.5, (H1,): 0.25, (H0, H1): 1.0})
-    assert report.energy is None and report.contributions is None
 
 
 def test_gate_is_immutable_and_equal_only_to_itself():
